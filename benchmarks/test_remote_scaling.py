@@ -1,8 +1,8 @@
 """Bench: remote shard execution — the TCP transport's cost and scaling.
 
 Sweeps node counts for the remote backend (in-thread nodes and real
-``repro shard-node`` subprocesses) against the in-process sharded and
-vectorized baselines at a fixed public shard count, and writes
+``repro shard-node`` subprocesses) against the in-process vectorized
+baseline at a fixed public shard count, and writes
 ``BENCH_remote.json``.
 
 Two claims are asserted:
@@ -14,10 +14,9 @@ Two claims are asserted:
   rows once, warm queries move only plans, programs and ``(l_s, p)``
   partials, so ``remote.segment_pushes`` stays at ``S`` across repeats.
 
-``REMOTE_SCALE=smoke`` shrinks the sweep for CI.  Remote transport on
-one box is strictly overhead versus shared memory — the interesting
-numbers are the per-query wire cost (warm remote vs warm sharded) and
-the cold-vs-warm gap (segment push amortization), both recorded in the
+``REMOTE_SCALE=smoke`` shrinks the sweep for CI.  The interesting
+numbers are the warm per-query cost of each transport and the
+cold-vs-warm gap (segment push amortization), both recorded in the
 report; no speedup is asserted.
 """
 
@@ -128,9 +127,6 @@ def test_remote_scaling():
 
     rows = [
         _run_config(num_records, "vectorized", shards, backend="vectorized"),
-        _run_config(
-            num_records, "sharded-K2", shards, backend="sharded", workers=2
-        ),
     ]
     for n in node_counts:
         rows.append(
@@ -157,9 +153,6 @@ def test_remote_scaling():
     values = {tuple(r["value"]) for r in rows}
     assert len(values) == 1, f"transports disagree: {values}"
 
-    warm = {r["transport"]: r["warm_seconds"] for r in rows}
-    best_remote = min(v for k, v in warm.items() if k.startswith("remote"))
-    wire_overhead = best_remote / warm["sharded-K2"]
     amortization = {
         r["transport"]: r["cold_seconds"] / r["warm_seconds"]
         for r in rows if r["transport"].startswith("remote")
@@ -172,7 +165,6 @@ def test_remote_scaling():
         payload={
             "results": rows,
             "identical_released_values": True,
-            "wire_overhead_vs_sharded": wire_overhead,
             "cold_over_warm_by_transport": amortization,
         },
         params={
@@ -186,4 +178,3 @@ def test_remote_scaling():
             "query_seed": QUERY_SEED,
         },
     )
-    print(f"\nwire overhead (best warm remote / warm sharded): {wire_overhead:.2f}x")

@@ -42,6 +42,7 @@ from repro.datasets.loaders import load_csv
 from repro.estimators.statistics import Count, Mean, Median, StandardDeviation, Variance
 from repro.exceptions import GuptError
 from repro.observability import MetricsRegistry
+from repro.runtime.computation_manager import BACKENDS
 
 PROGRAMS = {
     "mean": Mean,
@@ -79,27 +80,27 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="rng seed")
     parser.add_argument(
         "--backend",
-        choices=["serial", "thread", "pool", "vectorized", "sharded", "remote"],
+        choices=list(BACKENDS),
         default=None,
         help="execution backend (default: serial; pool = persistent "
              "worker processes with zero-copy block dispatch; vectorized "
              "= one fused numpy call over the stacked blocks for "
              "programs declaring a batch form, bit-identical to serial; "
-             "sharded = shard-owning worker processes with shard-local "
-             "block plans and a partials-only combine, bit-identical to "
-             "serial for the same --shards; remote = the sharded engine "
-             "over TCP shard-node processes — see --nodes and the "
-             "shard-node command — still bit-identical at fixed --shards)",
+             "remote = shard nodes with shard-local block plans and a "
+             "partials-only combine, bit-identical to serial for the "
+             "same --shards — see --nodes and the shard-node command)",
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="fan-out width for the thread/pool/sharded backends",
+        help="fan-out width for the thread/pool backends (and the "
+             "default node and shard count under --backend remote)",
     )
     parser.add_argument(
         "--nodes", default=None, metavar="N|HOST:PORT,...",
         help="with --backend remote: a comma-separated list of running "
-             "shard-node addresses, or an integer to spawn that many "
-             "local node processes in-process",
+             "shard-node addresses (start 'repro shard-node' processes "
+             "for multi-process sharding on one box), or an integer to "
+             "spawn that many node threads in this process",
     )
     parser.add_argument(
         "--node-secret", default=None, metavar="SECRET",
@@ -111,7 +112,7 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
         help="logical shard count of the sharded plan protocol — a "
              "public plan parameter the released bits depend on (like "
              "--block-size), honored by every backend; default 1, or "
-             "one shard per worker under --backend sharded",
+             "one shard per worker under --backend remote",
     )
     parser.add_argument(
         "--dispatch-batch", type=int, default=None, metavar="N",

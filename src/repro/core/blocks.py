@@ -220,7 +220,7 @@ class BlockPlan:
 # block outputs are iid clamped summaries, so a plan may be drawn as the
 # concatenation of shard-local plans — each shard partitions only its own
 # records — and executed anywhere (one process, one thread pool, or K
-# shard-owning worker processes) without changing a single released bit.
+# shard nodes) without changing a single released bit.
 #
 # The protocol makes that invariance hold *by construction*:
 #
@@ -302,7 +302,7 @@ def draw_shard_local_plan(
 ) -> BlockPlan:
     """Shard ``s``'s local plan, with indices relative to the shard.
 
-    Exactly what a shard worker draws over its own contiguous slice; the
+    Exactly what a shard node draws over its own contiguous slice; the
     combined plan of :func:`draw_sharded_plan` is these local plans with
     the shard's base offset added.  A shard smaller than one block
     contributes an empty plan rather than failing the query.
@@ -371,8 +371,8 @@ def draw_sharded_plan(
 class ShardPlanSummary:
     """Plan geometry of a sharded execution, without the index arrays.
 
-    The sharded backend plans and materializes blocks inside the shard
-    workers; the coordinator only ever needs the combined geometry (for
+    The remote backend plans and materializes blocks on the shard
+    nodes; the coordinator only ever needs the combined geometry (for
     aggregation sensitivity and release metadata), which this summary
     carries under the same attribute contract as :class:`BlockPlan`.
     """

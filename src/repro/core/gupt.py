@@ -67,7 +67,7 @@ class GuptRuntime:
     backend, workers, batch_size, shards, nodes:
         Convenience knobs that build the computation manager in place
         (``backend`` one of ``serial``/``thread``/``pool``/
-        ``vectorized``/``sharded``/``remote``; ``shards`` the logical
+        ``vectorized``/``remote``; ``shards`` the logical
         shard count of the sharded plan protocol — a public plan
         parameter released bits depend on, applying to every backend;
         ``nodes`` the shard-node cluster for ``backend="remote"`` —
@@ -192,10 +192,10 @@ class GuptRuntime:
             self._answer_cache_unhook = self._datasets.add_invalidation_hook(
                 self._answer_cache.invalidate
             )
-        # The sharded backend keeps registered datasets resident in
-        # shared memory; re-registering a name must evict the stale
-        # segments eagerly (version-keyed descriptors already make stale
-        # *use* impossible — this frees the memory).
+        # The remote backend keeps registered datasets' values resident
+        # to (re-)push shard segments; re-registering a name must drop
+        # the stale copy eagerly (version-keyed segments already make
+        # stale *use* impossible — this frees the memory).
         self._sharded_unhook: Callable[[], None] | None = None
         sharded = self._computation.sharded_backend
         if sharded is not None:
@@ -376,9 +376,9 @@ class GuptRuntime:
             rng=rng,
             plan_cache=self._plan_cache,
             cache_token=(dataset, registered.version),
-            # The sharded path clamps inside the workers (the IPC
-            # boundary must only ever carry clamped outputs); clamping
-            # is idempotent, so re-clamping below never moves the value.
+            # The sharded path clamps on the shard nodes (the wire must
+            # only ever carry clamped outputs); clamping is idempotent,
+            # so re-clamping below never moves the value.
             output_ranges=ranges,
         )
         outputs = np.clip(sampled.outputs[:, 0], ranges[0].lo, ranges[0].hi)
@@ -664,8 +664,8 @@ class GuptRuntime:
                         plan_cache=self._plan_cache,
                         cache_token=cache_token,
                         # Ranges are known here (tight/helper); the
-                        # sharded path clamps block outputs inside the
-                        # workers before they cross the shard boundary.
+                        # sharded path clamps block outputs on the
+                        # nodes before they cross the shard boundary.
                         output_ranges=estimate.ranges,
                     )
             released_privately = True

@@ -63,8 +63,8 @@ class PlanKey:
     (see :func:`repro.core.blocks.draw_sharded_plan`); it participates
     in the key because the combined plan is a pure function of
     ``(seed, shards)``.  ``shard`` scopes a *shard-local* entry — a
-    worker memoizing its own slice of the plan keys on its shard index
-    so two workers' caches can never serve each other's rows; ``-1``
+    node memoizing its own slice of the plan keys on its shard index
+    so two shards' entries can never serve each other's rows; ``-1``
     (the default) marks a whole-dataset entry.  Both are public
     execution parameters, never functions of record values.
     """

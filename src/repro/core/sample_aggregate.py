@@ -45,8 +45,8 @@ class SampledBlocks:
 
     ``plan`` is a :class:`BlockPlan` when the plan was drawn (or
     replayed) in-process, or a
-    :class:`~repro.core.blocks.ShardPlanSummary` when the sharded
-    backend planned inside its workers and only the combined geometry
+    :class:`~repro.core.blocks.ShardPlanSummary` when the remote
+    backend planned on its shard nodes and only the combined geometry
     came back; both carry the attribute contract aggregation needs
     (``num_blocks``, ``block_size``, ``resampling_factor``,
     ``max_blocks_per_record``).
@@ -149,13 +149,13 @@ class SampleAggregateEngine:
         memoizes the drawn plan plus its stacked materialization under
         the data-independent :class:`PlanKey`.  The plan is drawn for
         the manager's ``plan_shards`` logical shards — under the
-        ``sharded`` backend each shard plans and executes worker-locally
+        ``remote`` backend each shard plans and executes node-locally
         and only its block-output partial crosses back; every other
         backend replays the identical combined plan in-process.
 
         ``output_ranges``, when already known at sample time (GUPT-tight
-        / -helper), lets the sharded path clamp block outputs inside the
-        workers before they cross the shard boundary; aggregation clamps
+        / -helper), lets the sharded path clamp block outputs on the
+        nodes before they cross the shard boundary; aggregation clamps
         to the same ranges again, so the release is unchanged.
         """
         if getattr(values, "federated", False):
@@ -188,7 +188,7 @@ class SampleAggregateEngine:
             # query) cannot depend on execution strategy.
             generator = as_generator(rng)
             plan_seed = int(generator.integers(0, 2**63 - 1))
-            if self._manager.backend in ("sharded", "remote"):
+            if self._manager.backend == "remote":
                 sampled = self._sample_sharded(
                     values, program, output_dimension, fallback, beta,
                     resampling_factor, plan_seed, cache_token, output_ranges,
@@ -241,11 +241,11 @@ class SampleAggregateEngine:
         """Phase 1 for a federated dataset: curator nodes only.
 
         Replays the one-draw ``plan_seed`` protocol exactly — the same
-        single generator draw as the in-process sharded path, which is
-        what makes a federated release bit-identical to an in-process
-        sharded one over the same rows.  There is no chamber fallback:
-        the coordinator holds no values to degrade onto, so anything
-        that would degrade raises instead.
+        single generator draw as the pushed-segment sharded path, which
+        is what makes a federated release bit-identical to an in-process
+        one over the same rows at the same shard count.  There is no
+        chamber fallback: the coordinator holds no values to degrade
+        onto, so anything that would degrade raises instead.
         """
         if plan is not None:
             raise ComputationError(
@@ -305,9 +305,9 @@ class SampleAggregateEngine:
         cache_token: tuple[str, int],
         output_ranges: Sequence[OutputRange] | None,
     ) -> SampledBlocks | None:
-        """Phase 1 through the shard workers, or ``None`` to degrade.
+        """Phase 1 through the shard nodes, or ``None`` to degrade.
 
-        Workers only receive clamp bounds when no canonical-order hook
+        Nodes only receive clamp bounds when no canonical-order hook
         is installed: the single-process order is reorder-then-clamp
         (hook in :meth:`sample`, clamp in :meth:`aggregate`), and
         clamping per-dimension ranges does not commute with reordering,

@@ -6,10 +6,10 @@ component on each cluster node (instantiates chambers, pipes data in,
 collects outputs, forbids any other communication).  This module keeps
 that separation: :class:`ComputationManager` is the server-side object
 the GUPT runtime calls; each block execution goes through a
-:class:`~repro.runtime.sandbox.ExecutionChamber` (or a pooled worker
-process) which plays the client role.
+:class:`~repro.runtime.sandbox.ExecutionChamber`, a pooled worker
+process or a shard node, which plays the client role.
 
-Three execution backends trade isolation strength against dispatch cost:
+Five execution backends trade isolation strength against dispatch cost:
 
 ``serial``
     One chamber call per block on the calling thread.  Zero dispatch
@@ -35,28 +35,22 @@ Three execution backends trade isolation strength against dispatch cost:
     and queries under an active timing defense all degrade transparently
     to the chamber path (serial at one worker, chunked threads
     otherwise), counted per reason in ``vectorized.fallbacks``.
-``sharded``
-    :class:`~repro.runtime.shard.ShardedExecutionBackend` — the dataset
-    is split into ``S`` contiguous logical shards owned by persistent
-    worker processes; each shard plans and executes its blocks locally
-    and ships back only its ``(l_s, p)`` partial of clamped block
-    outputs.  The logical shard count is a *public plan parameter*
-    (``plan_shards``): every backend of a manager configured with
-    ``shards=S`` draws the same S-sharded combined plan, so releases
-    are bit-identical whether the shards run in-process or across
-    workers.  Queries the shard protocol cannot carry — an active
+``remote``
+    :class:`~repro.runtime.remote.RemoteShardBackend` — the one shard
+    coordinator.  The dataset is split into ``S`` contiguous logical
+    shards held by shard nodes (threads or ``repro shard-node``
+    processes on this box, or nodes on other hosts) speaking the framed
+    binary protocol of :mod:`repro.runtime.remote.wire`; each shard
+    plans and executes its blocks node-locally and ships back only its
+    ``(l_s, p)`` partial of clamped block outputs.  The logical shard
+    count is a *public plan parameter* (``plan_shards``): every backend
+    of a manager configured with ``shards=S`` draws the same S-sharded
+    combined plan, so releases are bit-identical whether the shards run
+    in-process or on nodes, for any node count and across single-node
+    failures.  Queries the shard protocol cannot carry — an active
     timing defense, unpicklable programs, explicit (grouped) plans —
     degrade to the combined-plan chamber path, counted per reason in
     ``sharded.fallbacks``.
-``remote``
-    :class:`~repro.runtime.remote.RemoteShardBackend` — the sharded
-    engine with the pipe/shared-memory transport replaced by TCP
-    shard-node processes speaking the framed binary protocol of
-    :mod:`repro.runtime.remote.wire`.  Same shard-local plans, same
-    partials-only combine, same degrade reasons (counted in
-    ``sharded.fallbacks`` — the shard protocol is transport-agnostic),
-    so releases stay bit-identical to every in-process backend at the
-    same ``S``, for any node count and across single-node failures.
 
 The manager is also an instrumentation point (see
 :mod:`repro.observability`): per-block latency, success/fallback/kill
@@ -87,7 +81,7 @@ from repro.runtime.sandbox import (
     InProcessChamber,
 )
 from repro.runtime.remote import RemoteShardBackend
-from repro.runtime.shard import ShardedExecutionBackend, ShardQuerySpec
+from repro.runtime.shard import ShardQuerySpec
 from repro.runtime.timing import TimingDefense
 from repro.runtime.vectorized import (
     BatchOutputs,
@@ -96,13 +90,9 @@ from repro.runtime.vectorized import (
     supports_batch,
 )
 
-BACKENDS = ("serial", "thread", "pool", "vectorized", "sharded", "remote")
+BACKENDS = ("serial", "thread", "pool", "vectorized", "remote")
 
-#: Backends that execute the sharded plan protocol natively (shard-local
-#: planning, partials-only combine) rather than through chambers.
-SHARD_PROTOCOL_BACKENDS = ("sharded", "remote")
-
-#: Logical shard count when the sharded backend is selected without an
+#: Logical shard count when the remote backend is selected without an
 #: explicit ``shards``: one logical shard per worker.  Deliberately a
 #: pure function of configuration — never of ``os.cpu_count()`` — since
 #: the shard count is a plan parameter that released bits depend on.
@@ -124,10 +114,9 @@ class ComputationManager:
         Registry receiving block-level telemetry; ``None`` uses the
         process default.
     backend:
-        ``"serial"``, ``"thread"``, ``"pool"`` or ``"vectorized"``;
-        ``None`` selects ``serial`` when ``max_workers == 1`` and
-        ``thread`` otherwise (the pre-backend behavior, so existing
-        callers are unchanged).
+        One of :data:`BACKENDS`; ``None`` selects ``serial`` when
+        ``max_workers == 1`` and ``thread`` otherwise (the pre-backend
+        behavior, so existing callers are unchanged).
     batch_size:
         Blocks per dispatch chunk for the thread and pool backends;
         ``None`` picks ``ceil(blocks / (4 * workers))`` per run.
@@ -142,23 +131,25 @@ class ComputationManager:
         *public plan parameter* that applies to **every** backend: a
         manager with ``shards=4`` draws 4-sharded combined plans whether
         it executes them serially, through threads, the pool, the
-        vectorized path, or shard workers.  That is what makes the
+        vectorized path, or shard nodes.  That is what makes the
         determinism matrix possible — fix ``shards`` and vary the
         backend, and the released bits do not move.  Defaults to ``1``
         (the legacy single-plan protocol, bit-compatible with earlier
-        releases) except under ``backend="sharded"``, where it defaults
+        releases) except under ``backend="remote"``, where it defaults
         to one logical shard per worker.
     sharded:
-        A pre-built :class:`ShardedExecutionBackend` (or
-        :class:`~repro.runtime.remote.RemoteShardBackend` — they share
-        the ``run_sharded`` contract) for the ``sharded``/``remote``
-        backends; ``None`` constructs one on demand.  Its logical shard
-        count must agree with ``shards`` when both are given.
+        A pre-built :class:`~repro.runtime.remote.RemoteShardBackend`
+        for the ``remote`` backend; ``None`` constructs one on demand.
+        Its logical shard count must agree with ``shards`` when both
+        are given.
     nodes:
         For ``backend="remote"``: where the shard nodes are — a list of
         ``(host, port)`` / ``"host:port"`` addresses for an existing
-        cluster, an int to spawn that many in-process nodes, or
-        ``None`` to spawn one per worker.  Ignored by other backends.
+        cluster (``repro shard-node`` processes, or
+        ``local_node_cluster(K, spawn="process")`` for multi-process
+        sharding on one box), an int to spawn that many in-process
+        thread nodes, or ``None`` to spawn one per worker.  Ignored by
+        other backends.
     node_secret:
         For ``backend="remote"``: the shared node-authentication secret
         handed to an auto-constructed :class:`RemoteShardBackend`
@@ -176,7 +167,7 @@ class ComputationManager:
         pool: PoolChamberBackend | None = None,
         timing: TimingDefense | None = None,
         shards: int | None = None,
-        sharded: ShardedExecutionBackend | RemoteShardBackend | None = None,
+        sharded: RemoteShardBackend | None = None,
         nodes: int | list | None = None,
         node_secret: str | None = None,
     ):
@@ -214,25 +205,18 @@ class ComputationManager:
                     f"backend's {sharded.shards} logical shards"
                 )
             self._plan_shards = sharded.shards
-        elif backend in SHARD_PROTOCOL_BACKENDS:
+        elif backend == "remote":
             self._plan_shards = (
                 shards
                 if shards is not None
                 else max(1, DEFAULT_SHARDS_PER_WORKER * max_workers)
             )
-            if backend == "remote":
-                self._sharded = RemoteShardBackend(
-                    shards=self._plan_shards,
-                    nodes=nodes if nodes is not None else max_workers,
-                    metrics=metrics,
-                    secret=node_secret,
-                )
-            else:
-                self._sharded = ShardedExecutionBackend(
-                    shards=self._plan_shards,
-                    workers=max_workers,
-                    metrics=metrics,
-                )
+            self._sharded = RemoteShardBackend(
+                shards=self._plan_shards,
+                nodes=nodes if nodes is not None else max_workers,
+                metrics=metrics,
+                secret=node_secret,
+            )
         else:
             self._plan_shards = shards if shards is not None else 1
 
@@ -253,8 +237,8 @@ class ComputationManager:
         return self._pool
 
     @property
-    def sharded_backend(self) -> ShardedExecutionBackend | RemoteShardBackend | None:
-        """The shard-protocol executor: in-process workers or remote nodes."""
+    def sharded_backend(self) -> RemoteShardBackend | None:
+        """The shard coordinator of the ``remote`` backend (else ``None``)."""
         return self._sharded
 
     @property
@@ -277,13 +261,12 @@ class ComputationManager:
         :meth:`RemoteShardBackend.federate` (``num_records``,
         ``num_dimensions``, ``node_rows``).
         """
-        fn = getattr(self._sharded, "federate", None)
-        if self._backend != "remote" or fn is None:
+        if self._backend != "remote" or self._sharded is None:
             raise ComputationError(
                 "federated datasets require the remote backend "
                 f"(this manager runs {self._backend!r})"
             )
-        return fn(name)
+        return self._sharded.federate(name)
 
     def close(self) -> None:
         """Release backend resources (worker processes); idempotent.
@@ -291,8 +274,8 @@ class ComputationManager:
         Teardown paths overlap (``GuptRuntime.close``, context managers,
         test fixtures), so closing twice must be safe: the pool backend
         tears down only the workers it currently has (a second close
-        finds none), and the sharded backend releases its processes and
-        shared-memory segments exactly once behind its own guard.
+        finds none), and the remote backend releases its sessions and
+        any nodes it spawned exactly once behind its own guard.
         Backends passed in by the caller are never closed here — they
         stay the caller's to close.
         """
@@ -414,7 +397,7 @@ class ComputationManager:
         fallback: np.ndarray,
         clamp_ranges: tuple[tuple[float, ...], tuple[float, ...]] | None = None,
     ) -> tuple[ShardPlanSummary, BatchOutputs] | None:
-        """Run one query through the shard workers, or ``None`` to degrade.
+        """Run one query through the shard nodes, or ``None`` to degrade.
 
         The sharded fast path: shard-local planning and execution,
         partials-only combine, same telemetry and all-blocks-failed
@@ -422,17 +405,17 @@ class ComputationManager:
         counting the reason in ``sharded.fallbacks`` — when the shard
         protocol cannot carry the query (an active timing defense, whose
         per-block kill-and-pad semantics the fused shard execution
-        cannot reproduce, or a program pickle cannot ship to a worker);
+        cannot reproduce, or a program pickle cannot ship to a node);
         the caller then replays the *same* S-sharded plan through the
         chamber path, so a degrade never moves released bits.
 
         ``clamp_ranges`` is the optional ``(lows, highs)`` pair of
-        declared per-dimension output bounds; when given, workers clamp
-        block outputs before they cross the shard IPC boundary
+        declared per-dimension output bounds; when given, nodes clamp
+        block outputs before they cross the shard boundary
         (aggregation clamps to the same bounds again, so the release is
         untouched).
         """
-        if self._backend not in SHARD_PROTOCOL_BACKENDS or self._sharded is None:
+        if self._backend != "remote" or self._sharded is None:
             raise ComputationError("manager is not configured for sharded execution")
         metrics = self._metrics or get_registry()
 

@@ -576,15 +576,7 @@ class PoolChamberBackend:
         registry.counter("pool.worker_restarts").inc()
 
 
-# Pre-forked worker machinery reused by the sharded execution backend
-# (repro.runtime.shard): persistent pipe-connected workers and the
-# attach-side resource-tracker silencing for parent-owned shm segments.
-WorkerHandle = _WorkerHandle
-silence_shm_tracking = _silence_shm_tracking
-
 __all__ = [
     "PoolChamberBackend",
     "DEFAULT_SHM_THRESHOLD_BYTES",
-    "WorkerHandle",
-    "silence_shm_tracking",
 ]

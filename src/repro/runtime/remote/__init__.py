@@ -1,13 +1,13 @@
 """Distributed shard execution over the network.
 
-The remote backend crosses the machine boundary that
-:mod:`repro.runtime.shard` stops at: logical shards are executed by
-*shard-node* processes reachable only over TCP, speaking the
-length-prefixed, versioned, CRC-framed binary protocol of
-:mod:`repro.runtime.remote.wire`.  The privacy contract of the sharded
-engine is preserved on a genuinely untrusted channel — the only payload
-a node ever returns is its clamped ``(l_s, p)`` block-output partial
-and success mask — and releases stay bit-identical to every in-process
+The remote backend is the one coordinator of the shard protocol in
+:mod:`repro.runtime.shard`: logical shards are executed by *shard
+nodes* reachable only over TCP — threads or processes on this box, or
+other hosts — speaking the length-prefixed, versioned, CRC-framed
+binary protocol of :mod:`repro.runtime.remote.wire`.  The privacy
+contract holds on a genuinely untrusted channel — the only payload a
+node ever returns is its clamped ``(l_s, p)`` block-output partial and
+success mask — and releases stay bit-identical to every in-process
 backend at the same logical shard count ``S``.
 
 Pieces:

@@ -1,16 +1,18 @@
 """The remote coordinator: shard execution across TCP-connected nodes.
 
-:class:`RemoteShardBackend` is a drop-in sibling of
-:class:`repro.runtime.shard.ShardedExecutionBackend` — same
-``run_sharded(program_bytes, values, spec)`` contract, same shard-major
-deterministic combine, same fallback substitution for shards nobody
-answered — with the pipe/shared-memory transport replaced by the framed
-binary protocol of :mod:`repro.runtime.remote.wire`.  Because logical
-shard plans are pure functions of ``(plan_seed, S, shard)`` and the
-combine is ordered by shard index, a seeded release through this
-backend is bit-identical to every in-process backend at the same ``S``
-— for any node count, and under any single-node failure that a
-surviving node absorbs.
+:class:`RemoteShardBackend` is the one coordinator of the shard
+protocol (:mod:`repro.runtime.shard`): ``run_sharded(program_bytes,
+values, spec)`` dispatches each logical shard to a shard node over the
+framed binary protocol of :mod:`repro.runtime.remote.wire`, combines
+the partials in shard-major order, and substitutes fallback rows for
+shards nobody answered.  Nodes may be threads of this process, ``repro
+shard-node`` processes on this box (``local_node_cluster(K,
+spawn="process")`` — single-box multi-process sharding) or other hosts.
+Because logical shard plans are pure functions of ``(plan_seed, S,
+shard)`` and the combine is ordered by shard index, a seeded release
+through this backend is bit-identical to every in-process backend at
+the same ``S`` — for any node count, and under any single-node failure
+that a surviving node absorbs.
 
 Failure handling, in escalating order:
 
@@ -30,8 +32,8 @@ Failure handling, in escalating order:
   bits.  Each shard is re-assigned at most once per query.
 * **Quorum degrade.**  Shards that remain unanswered (every holder
   dead, or the retry died too) resolve to the query's data-independent
-  fallback rows — the killed-worker semantics of the in-process
-  backends — and the query is flagged in telemetry
+  fallback rows — the killed-worker semantics of the pool backend —
+  and the query is flagged in telemetry
   (``remote.degraded_queries``) instead of raising.
 
 Telemetry (all release-safe geometry/counters, never payloads):
@@ -123,11 +125,11 @@ class LocalNodeCluster:
     """A convenience cluster of shard nodes owned by this process.
 
     ``spawn="thread"`` runs :class:`ShardNodeServer` instances on daemon
-    threads — real TCP, zero process overhead; the default for tests
-    and single-box use.  ``spawn="process"`` launches
-    ``python -m repro shard-node 127.0.0.1:0`` subprocesses (scraping
-    the announced ``LISTENING`` line), which is what the fault matrix
-    and the CI soak use: a crashed subprocess is a genuinely dead peer.
+    threads — real TCP, zero process overhead; the default for tests.
+    ``spawn="process"`` launches ``python -m repro shard-node
+    127.0.0.1:0`` subprocesses (scraping the announced ``LISTENING``
+    line): single-box multi-process sharding, and what the fault matrix
+    and the CI soak use — a crashed subprocess is a genuinely dead peer.
     ``env`` adds variables to subprocess nodes (e.g. arming
     ``REPRO_FAILPOINTS`` in a victim node).
     """
@@ -334,12 +336,6 @@ class RemoteShardBackend:
 
     @property
     def nodes(self) -> int:
-        return len(self._addresses)
-
-    @property
-    def workers(self) -> int:
-        # Interface parity with ShardedExecutionBackend: "workers" is
-        # the physical executor count, here nodes.
         return len(self._addresses)
 
     def _registry(self) -> MetricsRegistry:
@@ -577,7 +573,7 @@ class RemoteShardBackend:
         registration unless every node boundary lands exactly on a
         ``shard_offsets(total, S)`` boundary, so each curator owns
         whole logical shards and partials compose bit-identically with
-        in-process sharded execution.
+        pushed-segment execution of the same rows.
         """
         with self._dispatch_lock:
             if self._closed:

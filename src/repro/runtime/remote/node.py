@@ -1,14 +1,18 @@
 """The shard node: a standalone worker process behind a TCP socket.
 
-A node is the network analogue of the pipe-connected worker in
-:mod:`repro.runtime.shard`: it holds the raw row slices of the logical
-shards assigned to it (pushed once per ``(dataset, version)`` by the
-coordinator), plans each shard locally from ``spawn(plan_seed, S)[s]``,
-executes the analyst program, and returns *only* the clamped
-``(l_s, p)`` block-output partial and success mask.  Because it runs
-:func:`repro.runtime.shard.execute_shard_rows` — the exact kernel the
-in-process shard workers run — a remote release is bit-identical to an
-in-process sharded one at the same logical shard count.
+A node is the client component of GUPT's computation manager for the
+shard protocol of :mod:`repro.runtime.shard`: it holds the raw row
+slices of the logical shards assigned to it (pushed once per
+``(dataset, version)`` by the coordinator), plans each shard locally
+from ``spawn(plan_seed, S)[s]``, executes the analyst program, and
+returns *only* the clamped ``(l_s, p)`` block-output partial and success
+mask.  Because it runs :func:`repro.runtime.shard.execute_shard_rows`
+— a pure function of the shard's rows and the public spec — a remote
+release is bit-identical to every in-process backend replaying the same
+S-sharded plan.  Nodes run as threads of the coordinator's process, as
+``repro shard-node`` processes on the same box (single-box
+multi-process sharding), or on other hosts.  A program that fails to
+load or run fails its blocks (fallback rows), never the node.
 
 Trust model (the Lin/Wang/Rane curator setting): a node sees only its
 *own* shards' rows, never another node's slice, and the return channel
@@ -204,6 +208,12 @@ class ShardNodeServer:
         self._halted.set()
         listener, self._listener = self._listener, None
         if listener is not None:
+            try:
+                # close() alone does not wake a thread blocked in
+                # accept(); shutdown() does, so the join below is prompt.
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 listener.close()
             except OSError:

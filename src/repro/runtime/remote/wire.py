@@ -22,8 +22,9 @@ discipline in :mod:`repro.accounting.journal`)::
   Canonical encoding is what makes byte-level goldens possible.
 * ``body`` is an opaque byte string: a float64 array in C order, a
   boolean mask as uint8, or a pickled analyst program (the coordinator
-  is trusted platform infrastructure; nodes execute its programs the
-  same way the in-process shard workers do).
+  is trusted platform infrastructure; nodes execute its programs
+  through :func:`repro.runtime.shard.execute_shard_rows`, under the
+  chamber rule for programs that fail to load or run).
 * ``crc32`` covers everything after the magic.  A frame that fails the
   checksum, truncates mid-read, or carries the wrong version is
   rejected with a typed :class:`FrameError` — never partially applied.

@@ -59,10 +59,14 @@ class BlockExecution:
 
 
 def _coerce_output(raw, output_dimension: int) -> np.ndarray | None:
-    """Validate and flatten a program's return value; None if malformed."""
+    """Validate and flatten a program's return value; None if malformed.
+
+    Any failure to convert counts as malformed — including a hostile
+    return value whose ``__float__`` raises something exotic.
+    """
     try:
         vector = np.asarray(raw, dtype=float).ravel()
-    except (TypeError, ValueError):
+    except Exception:  # noqa: BLE001 - malformed output, not a crash
         return None
     if vector.size != output_dimension or not np.all(np.isfinite(vector)):
         return None

@@ -108,8 +108,15 @@ class VectorizedProgram(Protocol):
 
 
 def supports_batch(program) -> bool:
-    """Whether ``program`` declares a usable batch form."""
-    return callable(getattr(program, "run_batch", None))
+    """Whether ``program`` declares a usable batch form.
+
+    A lookup that raises (a hostile ``run_batch`` property, say) means
+    no: the program is then run per block, under the chamber rule.
+    """
+    try:
+        return callable(getattr(program, "run_batch", None))
+    except Exception:  # noqa: BLE001 - any failure is "no batch form"
+        return False
 
 
 def stack_blocks(blocks: Sequence[np.ndarray]) -> np.ndarray | None:
@@ -174,7 +181,7 @@ def run_batch_blocks(
 
     try:
         matrix = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
+    except Exception:  # noqa: BLE001 - unusable batch output
         return None
     if matrix.ndim == 1 and output_dimension == 1:
         matrix = matrix.reshape(-1, 1)
@@ -199,7 +206,7 @@ def run_stacked_serial(
 ) -> BatchOutputs:
     """Per-block execution over a stacked array, collected in matrix form.
 
-    The shard workers' slow path: a program with no usable batch form
+    The shard nodes' slow path: a program with no usable batch form
     runs block-by-block against a *fresh* ``pickle.loads`` instance per
     block — the same instance-freshness guarantee the chambers give, so
     no state can carry between blocks — with the chamber's malformed-

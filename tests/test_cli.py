@@ -211,11 +211,11 @@ class TestServe:
 
     def test_serve_simulated_traffic_on_sharded_backend(self, ages_csv, capsys):
         """The in-process load harness runs its queries through the
-        sharded backend when asked to."""
+        remote shard backend when asked to."""
         code = main([
             "serve", "--data", str(ages_csv), "--program", "mean",
             "--range", "0", "150", "--epsilon", "0.5", "--budget", "4.0",
-            "--backend", "sharded", "--shards", "2", "--workers", "2",
+            "--backend", "remote", "--shards", "2", "--workers", "2",
             "--analysts", "2", "--queries", "2",
             "--max-inflight", "8", "--queue-depth", "16", "--seed", "3",
         ])
@@ -239,7 +239,7 @@ class TestServeHttp:
     MATRIX = [
         ["--backend", "serial", "--shards", "2"],
         ["--backend", "vectorized", "--shards", "2"],
-        ["--backend", "sharded", "--shards", "2", "--workers", "2"],
+        ["--backend", "remote", "--shards", "2", "--workers", "2"],
     ]
 
     def _serve_and_query(self, ages_csv, extra):
@@ -320,9 +320,9 @@ class TestServeHttp:
         """--shards is forwarded, not decorative: changing it alone
         changes the released bits."""
         at_two = self._serve_and_query(
-            ages_csv, ["--backend", "sharded", "--shards", "2"]
+            ages_csv, ["--backend", "remote", "--shards", "2"]
         )
         at_four = self._serve_and_query(
-            ages_csv, ["--backend", "sharded", "--shards", "4"]
+            ages_csv, ["--backend", "remote", "--shards", "4"]
         )
         assert at_two != at_four

@@ -46,7 +46,7 @@ EPSILON = 0.5
 BLOCK_SIZE = 50
 NUM_RECORDS = 1_000
 
-BACKENDS = [None, "thread", "pool", "vectorized", "sharded", "remote"]
+BACKENDS = [None, "thread", "pool", "vectorized", "remote"]
 
 
 def _values() -> np.ndarray:

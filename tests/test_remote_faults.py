@@ -34,10 +34,12 @@ import sys
 import numpy as np
 import pytest
 
+from repro.core.blocks import shard_offsets
+from repro.core.plan_cache import BlockPlanCache
 from repro.estimators.statistics import Mean
 from repro.observability import MetricsRegistry
-from repro.runtime.remote import RemoteShardBackend
-from repro.runtime.shard import ShardQuerySpec, ShardedExecutionBackend
+from repro.runtime.remote import RemoteShardBackend, ShardNodeServer
+from repro.runtime.shard import ShardQuerySpec, execute_shard_rows
 from repro.testing import failpoints
 
 SRC_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -67,6 +69,30 @@ def _values() -> np.ndarray:
     return np.random.default_rng(SEED).uniform(0.0, 100.0, size=(SPEC.num_records, 1))
 
 
+def kernel_release(
+    program_bytes: bytes, values: np.ndarray, spec: ShardQuerySpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """The shard kernel run in-process over every shard, in shard order.
+
+    No transport, no coordinator, a fresh plan cache: the reference
+    every remote release must reproduce byte for byte.  Returns the
+    combined ``(outputs, succeeded)``.
+    """
+    cache = BlockPlanCache(metrics=MetricsRegistry())
+    offsets = shard_offsets(spec.num_records, spec.shards)
+    partials = [
+        execute_shard_rows(
+            values[int(offsets[s]) : int(offsets[s + 1])],
+            spec, s, program_bytes, cache,
+        )
+        for s in range(spec.shards)
+    ]
+    return (
+        np.concatenate([outputs for outputs, _, _ in partials]),
+        np.concatenate([succeeded for _, succeeded, _ in partials]),
+    )
+
+
 @pytest.fixture(autouse=True)
 def _clean_failpoints():
     failpoints.reset()
@@ -76,19 +102,15 @@ def _clean_failpoints():
 
 @pytest.fixture(scope="module")
 def baseline():
-    """The healthy release: outputs from the in-process sharded engine.
+    """The healthy release: outputs of the in-process shard kernel.
 
-    Using the *in-process* backend as the golden makes every
-    bit-identical assertion below also a cross-transport determinism
-    check, not just remote-vs-remote.
+    Using a transport-free golden makes every bit-identical assertion
+    below also a determinism check against the kernel itself, not just
+    remote-vs-remote.
     """
-    backend = ShardedExecutionBackend(shards=SHARDS, metrics=MetricsRegistry())
-    try:
-        _, batch = backend.run_sharded(PROGRAM, _values(), SPEC)
-    finally:
-        backend.close()
-    assert batch.succeeded.all(), "baseline must succeed on every block"
-    return batch.outputs.copy()
+    outputs, succeeded = kernel_release(PROGRAM, _values(), SPEC)
+    assert succeeded.all(), "baseline must succeed on every block"
+    return outputs
 
 
 def _spawn_victim(arming: str) -> tuple[subprocess.Popen, str]:
@@ -118,8 +140,6 @@ def _run_with_victim(arming: str, node_timeout: float) -> tuple[np.ndarray, np.n
     victim, victim_address = _spawn_victim(arming)
     metrics = MetricsRegistry()
     try:
-        from repro.runtime.remote import ShardNodeServer
-
         healthy = ShardNodeServer()
         host, port = healthy.start()
         try:
@@ -403,8 +423,6 @@ class TestSegmentEviction:
         # the node's segment LRU (capacity 1) evicted the first.  The
         # node's PARTIAL_MISSING(no_segment) must be taken as a cue to
         # re-push and re-execute, not as a shrug into fallback rows.
-        from repro.runtime.remote import ShardNodeServer
-
         metrics = MetricsRegistry()
         node = ShardNodeServer(resident_datasets=1)
         host, port = node.start()
@@ -590,8 +608,6 @@ class TestHeartbeatIntegrity:
 
     def test_heartbeats_count_rounds_not_node_slots(self):
         """``remote.heartbeats`` tracks probing cadence, not cluster size."""
-        from repro.runtime.remote import ShardNodeServer
-
         nodes = [ShardNodeServer(), ShardNodeServer()]
         addresses = ["{0}:{1}".format(*n.start()) for n in nodes]
         metrics = MetricsRegistry()
@@ -627,8 +643,6 @@ class TestCuratorDeath:
         from dataclasses import replace
 
         from repro.datasets.table import FederatedValues
-        from repro.runtime.remote import ShardNodeServer
-
         values = _values()
         spec = replace(SPEC, dataset="curated-fault-data")
         # Two curators holding the halves: bases 0 and 200 both land on
@@ -673,3 +687,102 @@ class TestCuratorDeath:
         )
         assert metrics.counter("remote.degraded_queries").value == 1
         assert metrics.counter("remote.fallback_shards").value == 2
+
+
+def _refuse_to_load():
+    raise RuntimeError("hostile program refuses to load")
+
+
+class RaisesOnLoad:
+    """Pickles fine; ``pickle.loads`` on the node raises."""
+
+    output_dimension = 1
+
+    def __reduce__(self):
+        return (_refuse_to_load, ())
+
+    def __call__(self, block):  # pragma: no cover - never loads
+        return float(np.mean(block))
+
+
+class HostileBatchProperty:
+    """A ``run_batch`` attribute whose lookup raises (not AttributeError)."""
+
+    output_dimension = 1
+
+    @property
+    def run_batch(self):
+        raise RuntimeError("hostile run_batch lookup")
+
+    def __call__(self, block):
+        return float(np.mean(block))
+
+
+class _HostileNumber:
+    """A block output whose float conversion raises (not TypeError)."""
+
+    def __float__(self):
+        raise RuntimeError("hostile output")
+
+
+class HostileOutput:
+    """Returns an output that explodes when coerced to a float."""
+
+    output_dimension = 1
+
+    def __call__(self, block):
+        return _HostileNumber()
+
+
+class TestHostileProgramContainment:
+    """An analyst program fails its own blocks, never the shard nodes.
+
+    A program that cannot be loaded, whose batch-form lookup raises, or
+    whose outputs explode on coercion is a per-block failure under the
+    chamber rule: fallback rows and ``succeeded=False`` for a program
+    that never loads or never yields a number, the per-block path for
+    a broken batch form.  The nodes stay up, so the next
+    analyst's healthy query on the same cluster answers every block.
+    """
+
+    @pytest.mark.parametrize(
+        "program, outcome",
+        [
+            (RaisesOnLoad(), "fallback"),
+            (HostileBatchProperty(), "per_block"),
+            (HostileOutput(), "fallback"),
+        ],
+        ids=["raises-on-load", "raising-run-batch-property", "raising-output"],
+    )
+    def test_hostile_program_never_kills_a_node(self, program, outcome, baseline):
+        nodes = [ShardNodeServer(), ShardNodeServer()]
+        addresses = ["{0}:{1}".format(*node.start()) for node in nodes]
+        metrics = MetricsRegistry()
+        backend = RemoteShardBackend(
+            shards=SHARDS,
+            nodes=addresses,
+            metrics=metrics,
+            heartbeat_interval=None,
+            node_timeout=3.0,
+        )
+        try:
+            _, hostile = backend.run_sharded(pickle.dumps(program), _values(), SPEC)
+            _, healthy = backend.run_sharded(PROGRAM, _values(), SPEC)
+        finally:
+            backend.close()
+            for node in nodes:
+                node.stop()
+        if outcome == "fallback":
+            assert not hostile.succeeded.any()
+            # Node-side fallback rows are clamped like any block output.
+            np.testing.assert_array_equal(
+                hostile.outputs,
+                np.full_like(hostile.outputs, np.clip(FALLBACK, 0.0, 100.0)),
+            )
+        else:
+            assert hostile.succeeded.all()
+            np.testing.assert_array_equal(hostile.outputs, baseline)
+        assert healthy.succeeded.all()
+        np.testing.assert_array_equal(healthy.outputs, baseline)
+        assert metrics.counter("remote.node_deaths").value == 0
+        assert metrics.counter("remote.degraded_queries").value == 0

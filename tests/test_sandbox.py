@@ -82,6 +82,16 @@ class TestInProcessChamber:
         result = chamber.run_block(lambda b: "text", BLOCK, 1, FALLBACK)
         assert not result.succeeded
 
+    def test_output_whose_conversion_raises_falls_back(self):
+        class Exploding:
+            def __float__(self):
+                raise RuntimeError("hostile output")
+
+        chamber = InProcessChamber()
+        result = chamber.run_block(lambda b: Exploding(), BLOCK, 1, FALLBACK)
+        assert not result.succeeded
+        assert result.output[0] == FALLBACK[0]
+
     def test_timeout_kills_and_falls_back(self):
         chamber = InProcessChamber(timing=TimingDefense(cycle_budget=0.05, pad=False))
         result = chamber.run_block(slow_program, BLOCK, 1, FALLBACK)

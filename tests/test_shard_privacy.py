@@ -1,41 +1,35 @@
-"""Privacy boundary of the shard IPC: partials only, never records.
+"""Privacy boundary of the shard wire: partials only, never records.
 
-The sharded backend's design claim is that after a dataset is pushed
-into shared memory (coordinator -> worker, at registration), the only
-payload that ever crosses a process boundary is the per-shard block
-summary: a clamped ``(l_s, p)`` output matrix, its success mask, and
-public scalars.  These tests observe every worker -> coordinator
-message through the backend's ``message_observer`` hook and prove it
-structurally — following the sentinel-band technique of
-``tests/test_observability.py``: all records live in [7000, 7400], so
-any unclamped record magnitude in a place it shouldn't be is
-detectable, and the *shape* allowlist rules out smuggling the raw
-record slab regardless of its values.
+The shard protocol's design claim is that after a shard's rows are
+pushed to its node (coordinator -> node), the only payload that ever
+crosses back is the per-shard block summary: a clamped ``(l_s, p)``
+output matrix, its success mask, and public scalars.  These tests
+capture every frame through the remote backend's ``frame_observer`` /
+``message_observer`` hooks and prove it structurally — following the
+sentinel-band technique of ``tests/test_observability.py``: all
+records live in [7000, 7400], so any unclamped record magnitude in a
+place it shouldn't be is detectable, and the kind allowlist plus the
+partial-size bound rule out smuggling the raw record slab regardless
+of its values.
 """
 
 import numpy as np
 import pytest
 
 from repro.accounting.manager import DatasetManager
-from repro.core.blocks import shard_block_counts
 from repro.core.gupt import GuptRuntime
 from repro.core.range_estimation import TightRange
 from repro.datasets.table import DataTable
 from repro.estimators.statistics import Mean
 from repro.observability import MetricsRegistry
 from repro.runtime.computation_manager import ComputationManager
-from repro.runtime.shard import ShardedExecutionBackend
 
 from tests.test_observability import SENTINEL_LO, SENTINEL_HI, numeric_leaves
 
 SHARDS = 4
-WORKERS = 2
 BLOCK_SIZE = 100
 NUM_RECORDS = 2_000
 EPSILON = 0.5
-
-#: Worker -> coordinator message kinds the protocol may ever use.
-ALLOWED_KINDS = {"partial", "query-done", "partial-missing"}
 
 
 @pytest.fixture
@@ -54,110 +48,16 @@ def sentinel_manager(rng):
     return manager
 
 
-def _run_observed(manager, metrics, declared_range):
-    """One seeded sharded query, capturing every boundary message."""
-    messages = []
-    backend = ShardedExecutionBackend(
-        shards=SHARDS, workers=WORKERS, metrics=metrics,
-        message_observer=messages.append,
-    )
-    computation = ComputationManager(
-        backend="sharded", shards=SHARDS, max_workers=WORKERS,
-        sharded=backend, metrics=metrics,
-    )
-    runtime = GuptRuntime(
-        manager, computation_manager=computation, rng=7, metrics=metrics
-    )
+def _serial_release(manager, declared_range):
+    """The same seeded query through the in-process serial backend at S."""
+    runtime = GuptRuntime(manager, rng=7, backend="serial", shards=SHARDS)
     try:
-        result = runtime.run(
+        return runtime.run(
             "census", Mean(), TightRange(declared_range),
             epsilon=EPSILON, block_size=BLOCK_SIZE, rng=11,
         )
     finally:
         runtime.close()
-    assert metrics.snapshot()["counters"]["shard.queries"] == 1
-    return result, messages
-
-
-class TestBoundarySchema:
-    def test_only_allowlisted_message_shapes_cross(self, sentinel_manager):
-        """Every boundary message is one of the three protocol kinds,
-        with exact arity — and every partial is a block-summary matrix
-        whose row count matches the public shard geometry, far too small
-        to carry the record slab."""
-        metrics = MetricsRegistry()
-        _, messages = _run_observed(
-            sentinel_manager, metrics, (SENTINEL_LO, SENTINEL_HI)
-        )
-        assert messages, "observer saw no boundary traffic"
-        counts = shard_block_counts(NUM_RECORDS, BLOCK_SIZE, 1, SHARDS)
-
-        partial_shards = []
-        for message in messages:
-            kind = message[0]
-            assert kind in ALLOWED_KINDS, message
-            if kind == "query-done":
-                assert len(message) == 2
-                continue
-            if kind == "partial-missing":
-                assert len(message) == 3
-                continue
-            _, qid, shard, outputs, succeeded, elapsed = message
-            partial_shards.append(int(shard))
-            outputs = np.asarray(outputs)
-            assert outputs.shape == (int(counts[shard]), 1)
-            assert np.asarray(succeeded).shape == (int(counts[shard]),)
-            assert isinstance(float(elapsed), float)
-            # The summary payload is orders of magnitude smaller than
-            # the shard's record slice: nothing raw fits through.
-            assert outputs.size < NUM_RECORDS // SHARDS
-
-        assert sorted(partial_shards) == list(range(SHARDS))
-
-    def test_partials_are_clamped_before_crossing(self, sentinel_manager):
-        """Declared output ranges are applied *inside* the worker: with
-        a declared range far below the sentinel band, no number in the
-        sentinel band ever crosses the boundary — even though every
-        block's true mean lies in it."""
-        metrics = MetricsRegistry()
-        result, messages = _run_observed(sentinel_manager, metrics, (0.0, 100.0))
-        partials = [m for m in messages if m[0] == "partial"]
-        assert partials
-        for message in partials:
-            leaves = numeric_leaves(np.asarray(message[3]).tolist())
-            assert leaves, "partial carried no outputs"
-            assert all(v <= 100.0 for v in leaves), message
-            assert not any(SENTINEL_LO <= v <= SENTINEL_HI for v in leaves)
-        # Clamping is idempotent, so narrowing the boundary early does
-        # not move the release: the aggregate stays in the clamp range.
-        assert all(0.0 <= float(v) <= 100.0 + 10.0 / EPSILON for v in result.value)
-
-    def test_released_bits_match_serial_despite_worker_clamp(self, sentinel_manager):
-        """The clamp-at-the-boundary optimization never moves bits."""
-        metrics = MetricsRegistry()
-        result, _ = _run_observed(sentinel_manager, metrics, (0.0, 100.0))
-
-        serial_manager = DatasetManager()
-        values = np.random.default_rng(12345).uniform(
-            SENTINEL_LO + 50.0, SENTINEL_HI - 50.0, size=NUM_RECORDS
-        )
-        serial_manager.register(
-            "census",
-            DataTable(values, column_names=["v"],
-                      input_ranges=[(SENTINEL_LO, SENTINEL_HI)]),
-            total_budget=20.0,
-        )
-        runtime = GuptRuntime(
-            serial_manager, rng=7, backend="serial", shards=SHARDS
-        )
-        try:
-            serial = runtime.run(
-                "census", Mean(), TightRange((0.0, 100.0)),
-                epsilon=EPSILON, block_size=BLOCK_SIZE, rng=11,
-            )
-        finally:
-            runtime.close()
-        assert tuple(result.value) == tuple(serial.value)
 
 
 def _run_remote_observed(manager, metrics, declared_range):
@@ -199,7 +99,7 @@ def _run_remote_observed(manager, metrics, declared_range):
 
 
 class TestRemoteWireSentinels:
-    """The shard-IPC privacy claims, re-proven over a real TCP socket."""
+    """The shard-boundary privacy claims, proven over a real TCP socket."""
 
     def _decoded(self, frames, direction):
         from repro.runtime.remote import wire
@@ -281,14 +181,13 @@ class TestRemoteWireSentinels:
             assert frame.body == b""
 
     def test_remote_release_matches_in_process_sharded(self, sentinel_manager):
-        """Observation hooks and transport change nothing: the remote
-        release equals the in-process sharded release bit for bit."""
+        """Observation hooks, transport and node-side clamping change
+        nothing: the remote release equals the in-process release of
+        the same S-sharded plan bit for bit."""
         remote, _, _ = _run_remote_observed(
             sentinel_manager, MetricsRegistry(), (0.0, 100.0)
         )
-        in_process, _ = _run_observed(
-            sentinel_manager, MetricsRegistry(), (0.0, 100.0)
-        )
+        in_process = _serial_release(sentinel_manager, (0.0, 100.0))
         assert tuple(remote.value) == tuple(in_process.value)
 
 
@@ -413,7 +312,7 @@ class TestFederatedWireSentinels:
                       input_ranges=[(SENTINEL_LO, SENTINEL_HI)]),
             total_budget=20.0,
         )
-        in_process, _ = _run_observed(manager, MetricsRegistry(), (0.0, 100.0))
+        in_process = _serial_release(manager, (0.0, 100.0))
         assert tuple(federated.value) == tuple(in_process.value)
 
 
@@ -553,22 +452,3 @@ class TestNodeCodeStaysOutsideTheLedger:
         # The closure is small and self-contained — a regression that
         # suddenly drags in half the package should be loud.
         assert len(closure) < 25, sorted(closure)
-
-
-class TestTelemetryStaysReleaseSafe:
-    def test_shard_metrics_never_touch_the_sentinel_band(self, sentinel_manager):
-        """The observability invariant extends to ``shard.*``: geometry,
-        counts and seconds only — no block outputs, no records."""
-        metrics = MetricsRegistry()
-        _run_observed(sentinel_manager, metrics, (SENTINEL_LO, SENTINEL_HI))
-        snapshot = metrics.snapshot()
-        shard_keys = [
-            k for section in ("counters", "gauges", "histograms")
-            for k in snapshot[section] if k.startswith("shard.")
-        ]
-        assert shard_keys, "sharded run produced no shard telemetry"
-        offenders = [
-            v for v in numeric_leaves(snapshot)
-            if SENTINEL_LO <= v <= SENTINEL_HI
-        ]
-        assert not offenders, offenders

@@ -1,14 +1,17 @@
-"""Sharded execution engine: determinism, combine protocol, self-healing.
+"""Sharded execution: determinism, combine protocol, crash containment.
 
-The backend's core contract is that sharding is *execution geometry*,
-not a statistical change: for a fixed logical shard count ``S`` (a
-public plan parameter, like block size) every backend — serial, thread,
-pool, vectorized, sharded at any physical worker count ``K`` — releases
-bit-for-bit identical values under the same seed.  These tests pin that
-matrix, the shard-major combine protocol underneath it, the degrade
-paths (timing defense, unpicklable programs, explicit grouped plans),
-and kill-and-replace self-healing.
+The shard protocol's core contract is that sharding is *execution
+geometry*, not a statistical change: for a fixed logical shard count
+``S`` (a public plan parameter, like block size) every backend —
+serial, thread, pool, vectorized, remote over any number of shard
+nodes — releases bit-for-bit identical values under the same seed.
+These tests pin that matrix, the shard-major combine protocol
+underneath it, the degrade paths (timing defense, unpicklable programs,
+explicit grouped plans), and what a node-killing program costs: only
+its own shard, which resolves to fallback rows.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -28,7 +31,8 @@ from repro.estimators.statistics import Mean
 from repro.exceptions import ComputationError
 from repro.observability import MetricsRegistry
 from repro.runtime.computation_manager import ComputationManager
-from repro.runtime.shard import ShardedExecutionBackend, ShardQuerySpec
+from repro.runtime.remote import RemoteShardBackend, local_node_cluster
+from repro.runtime.shard import ShardQuerySpec
 from repro.runtime.timing import TimingDefense
 
 SEED = 424242
@@ -36,17 +40,17 @@ QUERY_SEED = 7
 EPSILON = 0.5
 BLOCK_SIZE = 50
 NUM_RECORDS = 1_000
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def crash_on_negative_mean(block):
-    """Kills its host process on shard-0 data (see the self-heal test).
+    """Kills its host process on shard-0 data (see the crash test).
 
-    Module-level so it pickles: a nested def would silently degrade the
-    sharded fast path to the in-process chamber — and kill the test run.
+    Module-level so it pickles by reference: a nested def would silently
+    degrade the sharded fast path to the in-process chamber — and kill
+    the test run.  Node subprocesses import it from this module.
     """
     if float(np.mean(block)) < 0:
-        import os
-
         os._exit(13)
     return float(np.mean(block))
 
@@ -100,24 +104,23 @@ def _release(
 
 class TestDeterminismMatrix:
     def test_every_backend_agrees_at_fixed_shards(self):
-        """serial/thread/pool/vectorized/sharded/remote: same bits at S=4."""
+        """serial/thread/pool/vectorized/remote: same bits at S=4."""
         releases = {
             "serial": _release(backend="serial", shards=4),
             "thread": _release(backend="thread", workers=2, shards=4),
             "pool": _release(backend="pool", workers=2, shards=4),
             "vectorized": _release(backend="vectorized", shards=4),
-            "sharded-K1": _release(backend="sharded", workers=1, shards=4),
-            "sharded-K2": _release(backend="sharded", workers=2, shards=4),
-            "sharded-K4": _release(backend="sharded", workers=4, shards=4),
             "remote-N1": _release(backend="remote", nodes=1, shards=4),
             "remote-N2": _release(backend="remote", nodes=2, shards=4),
+            "remote-N4": _release(backend="remote", nodes=4, shards=4),
         }
         assert len(set(releases.values())) == 1, releases
 
     def test_worker_count_never_moves_bits(self):
-        """K is deployment geometry: uneven shard/worker splits included."""
+        """K is deployment geometry: uneven shard/node splits included
+        (``workers`` sets the default node count of the remote backend)."""
         releases = {
-            k: _release(backend="sharded", workers=k, shards=6)
+            k: _release(backend="remote", workers=k, shards=6)
             for k in (1, 2, 3, 4, 6)
         }
         assert len(set(releases.values())) == 1, releases
@@ -128,13 +131,11 @@ class TestDeterminismMatrix:
             n: _release(backend="remote", nodes=n, shards=6)
             for n in (1, 2, 3, 6)
         }
-        releases["sharded"] = _release(backend="sharded", workers=2, shards=6)
+        releases["serial"] = _release(backend="serial", shards=6)
         assert len(set(releases.values())) == 1, releases
 
     def test_remote_subprocess_nodes_agree(self):
         """Real node processes over TCP release the same bits as serial."""
-        from repro.runtime.remote import RemoteShardBackend
-
         remote = RemoteShardBackend(
             shards=4, nodes=2, node_spawn="process", heartbeat_interval=None
         )
@@ -150,7 +151,7 @@ class TestDeterminismMatrix:
     def test_single_shard_matches_legacy_protocol(self):
         """S=1 is *defined* as the pre-sharding plan protocol."""
         assert _release(backend="serial") == _release(
-            backend="sharded", workers=1, shards=1
+            backend="remote", workers=1, shards=1
         )
 
     def test_shard_count_is_a_public_plan_parameter(self):
@@ -161,9 +162,9 @@ class TestDeterminismMatrix:
 
     def test_fast_path_actually_ran(self):
         metrics = MetricsRegistry()
-        _release(backend="sharded", workers=2, shards=4, metrics=metrics)
+        _release(backend="remote", workers=2, shards=4, metrics=metrics)
         counters = metrics.snapshot()["counters"]
-        assert counters["shard.queries"] == 1
+        assert counters["remote.queries"] == 1
         assert not any(k.startswith("sharded.fallbacks") for k in counters)
 
 
@@ -230,46 +231,14 @@ class TestCombineProtocol:
 
 
 class TestSelfHealing:
-    def test_worker_killed_between_queries_heals_bit_identically(self):
-        metrics = MetricsRegistry()
-        manager = DatasetManager()
-        manager.register(
-            "data", DataTable(_values(), input_ranges=[(0.0, 100.0)]),
-            total_budget=100.0,
-        )
-        computation = ComputationManager(
-            backend="sharded", shards=4, max_workers=2, metrics=metrics
-        )
-        runtime = GuptRuntime(
-            manager, computation_manager=computation, rng=SEED, metrics=metrics
-        )
-        try:
-            def query(seed):
-                result = runtime.run(
-                    "data", Mean(), TightRange((0.0, 100.0)),
-                    epsilon=EPSILON, block_size=BLOCK_SIZE, rng=seed,
-                )
-                return tuple(float(v) for v in result.value)
-
-            before = query(11)
-            computation.sharded_backend._workers[0].kill()
-            after = query(11)
-        finally:
-            runtime.close()
-        assert before == after
-        counters = metrics.snapshot()["counters"]
-        assert counters["shard.worker_restarts"] >= 1
-        # The healed worker needed the dataset re-pushed, but the
-        # coordinator never re-copied the segment for the live ones.
-        assert counters["shard.dataset_pushes"] == 1
-
     def test_crash_during_query_substitutes_fallback_rows(self):
-        """A program that kills its worker on one shard's data: the query
+        """A program that kills its node on one shard's data: the query
         still completes, the dead shard resolving to fallback rows —
         the same data-independent outcome the pool backend gives killed
-        blocks."""
+        blocks — while the other shard's partial survives."""
         # Shard 0 owns the negative half; every block drawn from it
-        # kills the worker (twice, after one heal-and-retry).
+        # kills the node running it (node 0, then the node it was
+        # re-assigned to, after that node answered its own shard 1).
         values = np.concatenate(
             [np.full(500, -50.0), np.full(500, 50.0)]
         ).reshape(-1, 1)
@@ -279,22 +248,34 @@ class TestSelfHealing:
             "data", DataTable(values, input_ranges=[(-100.0, 100.0)]),
             total_budget=100.0,
         )
-        computation = ComputationManager(
-            backend="sharded", shards=2, max_workers=2, metrics=metrics
-        )
-        runtime = GuptRuntime(
-            manager, computation_manager=computation, rng=SEED, metrics=metrics
-        )
-        try:
-            result = runtime.run(
-                "data", crash_on_negative_mean, TightRange((-100.0, 100.0)),
-                epsilon=EPSILON, block_size=100, rng=3,
+        # Node subprocesses unpickle the program by reference, so they
+        # need this test module importable.
+        with local_node_cluster(
+            2, spawn="process", env={"PYTHONPATH": os.pathsep.join(
+                p for p in (os.path.join(REPO_ROOT, "src"), REPO_ROOT,
+                            os.environ.get("PYTHONPATH")) if p
+            )},
+        ) as cluster:
+            computation = ComputationManager(
+                backend="remote", shards=2, nodes=cluster.addresses,
+                metrics=metrics,
             )
-        finally:
-            runtime.close()
+            runtime = GuptRuntime(
+                manager, computation_manager=computation, rng=SEED,
+                metrics=metrics,
+            )
+            try:
+                result = runtime.run(
+                    "data", crash_on_negative_mean,
+                    TightRange((-100.0, 100.0)),
+                    epsilon=EPSILON, block_size=100, rng=3,
+                )
+            finally:
+                runtime.close()
         assert np.all(np.isfinite(result.value))
         counters = metrics.snapshot()["counters"]
-        assert counters["shard.worker_restarts"] >= 1
+        assert counters["remote.reassigned_shards"] == 1
+        assert counters["remote.fallback_shards"] == 1
         assert counters["blocks.fallback"] >= 1
         assert counters["blocks.success"] >= 1
 
@@ -308,31 +289,31 @@ class TestDegrades:
             return program
 
         metrics = MetricsRegistry()
-        sharded = _release(
-            backend="sharded", workers=2, shards=3,
+        remote = _release(
+            backend="remote", workers=2, shards=3,
             metrics=metrics, program=make_program(),
         )
         serial = _release(backend="serial", shards=3, program=make_program())
-        assert sharded == serial
+        assert remote == serial
         counters = metrics.snapshot()["counters"]
         assert counters['sharded.fallbacks{reason="unpicklable"}'] == 1
-        assert counters.get("shard.queries", 0) == 0
+        assert counters.get("remote.queries", 0) == 0
 
     def test_timing_defense_degrades_bit_compatibly(self):
         metrics = MetricsRegistry()
         guarded = ComputationManager(
-            backend="sharded", shards=3, max_workers=2,
+            backend="remote", shards=3, max_workers=2,
             timing=TimingDefense(cycle_budget=30.0, pad=False),
             metrics=metrics,
         )
-        sharded = _release(computation=guarded, metrics=metrics)
+        remote = _release(computation=guarded, metrics=metrics)
         serial = _release(backend="serial", shards=3)
-        assert sharded == serial
+        assert remote == serial
         counters = metrics.snapshot()["counters"]
         assert counters['sharded.fallbacks{reason="timing_defense"}'] == 1
 
     def test_grouped_query_bypasses_fast_path(self):
-        """group_by hands the engine an explicit plan; the sharded
+        """group_by hands the engine an explicit plan; the remote
         backend must answer it through the chamber path, identically to
         serial."""
         labels = np.repeat(np.arange(25), 40).astype(float)
@@ -359,28 +340,27 @@ class TestDegrades:
                 runtime.close()
             return tuple(float(v) for v in result.value), metrics
 
-        sharded_value, metrics = grouped_release("sharded")
+        remote_value, metrics = grouped_release("remote")
         serial_value, _ = grouped_release("serial")
-        assert sharded_value == serial_value
-        assert metrics.snapshot()["counters"].get("shard.queries", 0) == 0
+        assert remote_value == serial_value
+        assert metrics.snapshot()["counters"].get("remote.queries", 0) == 0
 
 
 class TestValidation:
     def test_backend_rejects_bad_geometry(self):
-        with pytest.raises(ValueError):
-            ShardedExecutionBackend(shards=0)
-        with pytest.raises(ValueError):
-            ShardedExecutionBackend(shards=2, workers=0)
-        with pytest.raises(ValueError):
-            ShardedExecutionBackend(shards=2, resident_datasets=0)
-
-    def test_workers_clamped_to_shards(self):
-        backend = ShardedExecutionBackend(shards=2, workers=8)
-        assert backend.workers == 2
-        backend.close()
+        with pytest.raises(ComputationError):
+            RemoteShardBackend(shards=0, nodes=["127.0.0.1:1"])
+        with pytest.raises(ComputationError):
+            RemoteShardBackend(
+                shards=2, nodes=["127.0.0.1:1"], resident_datasets=0
+            )
+        with pytest.raises(ComputationError):
+            RemoteShardBackend(shards=2, nodes=[])
 
     def test_spec_shard_mismatch_is_an_error(self):
-        backend = ShardedExecutionBackend(shards=2, workers=1)
+        backend = RemoteShardBackend(
+            shards=2, nodes=["127.0.0.1:1"], heartbeat_interval=None
+        )
         spec = ShardQuerySpec(
             dataset="d", version=1, num_records=100, block_size=10,
             resampling_factor=1, plan_seed=0, shards=3,
@@ -394,13 +374,15 @@ class TestValidation:
 
     def test_manager_validates_shard_count(self):
         with pytest.raises(ValueError):
-            ComputationManager(backend="sharded", shards=0)
+            ComputationManager(backend="remote", shards=0)
 
     def test_manager_rejects_mismatched_prebuilt_backend(self):
-        backend = ShardedExecutionBackend(shards=2, workers=1)
+        backend = RemoteShardBackend(
+            shards=2, nodes=["127.0.0.1:1"], heartbeat_interval=None
+        )
         try:
             with pytest.raises(ValueError):
-                ComputationManager(backend="sharded", shards=4, sharded=backend)
+                ComputationManager(backend="remote", shards=4, sharded=backend)
         finally:
             backend.close()
 
@@ -419,10 +401,11 @@ class TestValidation:
         assert manager.sharded_backend is None
 
     def test_sharded_default_is_one_shard_per_worker(self):
-        manager = ComputationManager(backend="sharded", max_workers=3)
+        manager = ComputationManager(backend="remote", max_workers=3)
         try:
             assert manager.plan_shards == 3
             assert manager.sharded_backend.shards == 3
+            assert manager.sharded_backend.nodes == 3
         finally:
             manager.close()
 
@@ -432,7 +415,7 @@ class TestFederatedDeterminism:
 
     The same 600 rows are handed to 1, 2, 3 or 6 curator nodes (each
     holding a contiguous slice aligned on shard boundaries); every
-    split — and the in-process engine holding all rows locally — must
+    split — and the serial engine holding all rows locally — must
     release bit-identical values at the same logical shard count.
     """
 
@@ -483,16 +466,14 @@ class TestFederatedDeterminism:
             for name, split in self.SPLITS.items()
         }
         releases["in-process"] = _release(
-            backend="sharded", workers=2, shards=6, num_records=600
+            backend="serial", shards=6, num_records=600
         )
         assert len(set(releases.values())) == 1, releases
 
     def test_authenticated_curators_release_the_same_bits(self):
         """The auth handshake is transport, not plan: bits don't move."""
         authenticated = self._federated_release((300, 300), secret="s3cret")
-        in_process = _release(
-            backend="sharded", workers=2, shards=6, num_records=600
-        )
+        in_process = _release(backend="serial", shards=6, num_records=600)
         assert authenticated == in_process
 
     def test_misaligned_curator_split_is_refused(self):

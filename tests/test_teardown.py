@@ -3,13 +3,15 @@
 Teardown paths overlap in this codebase by design — context managers,
 explicit ``close()`` calls, ``GuptService.close`` cascading into
 ``GuptRuntime.close`` cascading into the backends, ``__del__`` as a
-last resort.  A double release of worker processes or shared-memory
-segments is a crash; a *skipped* release is a leak.  These regression
+last resort.  A double release of worker processes, node sessions or
+shared-memory segments is a crash; a *skipped* release is a leak.  These regression
 tests pin the contract at every layer: closing twice is a no-op, the
 expensive teardown happens exactly once, and — for the pool backend,
 which is restartable by design — closing does not wedge the owner
 against a later run.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -24,7 +26,8 @@ from repro.observability import MetricsRegistry
 from repro.runtime.computation_manager import ComputationManager
 from repro.runtime.scheduler import QueryScheduler
 from repro.runtime.service import ANALYST, OWNER, GuptService, QueryRequest
-from repro.runtime.shard import ShardedExecutionBackend
+from repro.runtime.remote import RemoteShardBackend
+from repro.runtime.remote.backend import LocalNodeCluster
 
 
 def _table(num_records: int = 400) -> DataTable:
@@ -33,46 +36,62 @@ def _table(num_records: int = 400) -> DataTable:
 
 
 class TestShardedBackendTeardown:
+    """The one shard coordinator: sessions and owned nodes, released once."""
+
+    def _query(self, backend: RemoteShardBackend) -> None:
+        from repro.runtime.shard import ShardQuerySpec
+
+        spec = ShardQuerySpec(
+            dataset="d", version=1, num_records=40, block_size=10,
+            resampling_factor=1, plan_seed=0, shards=backend.shards,
+            output_dimension=1, fallback=(0.0,),
+        )
+        _, batch = backend.run_sharded(
+            pickle.dumps(Mean()), np.arange(40.0).reshape(-1, 1), spec
+        )
+        assert batch.succeeded.all()
+
     def test_close_is_idempotent_and_terminal(self):
-        backend = ShardedExecutionBackend(shards=2, workers=2)
-        backend._ensure_started()
-        processes = [w.process for w in backend._workers]
+        backend = RemoteShardBackend(
+            shards=2, nodes=2, node_spawn="process", heartbeat_interval=None
+        )
+        self._query(backend)
+        processes = list(backend._cluster._processes)
         backend.close()
-        assert all(not p.is_alive() for p in processes)
+        assert all(p.poll() is not None for p in processes)
         backend.close()  # second call: cheap no-op, no double release
         with pytest.raises(ComputationError, match="closed"):
-            backend._ensure_started()
+            self._query(backend)
 
     def test_close_releases_segments_exactly_once(self, monkeypatch):
-        from repro.runtime.shard import _DatasetSegment
-
-        backend = ShardedExecutionBackend(shards=2, workers=1)
-        with backend._dispatch_lock:
-            backend._ensure_started()
-            backend._ensure_dataset_locked(
-                ("d", 1), np.arange(20.0).reshape(-1, 1)
-            )
-        releases = []
-        original = _DatasetSegment.release
+        backend = RemoteShardBackend(shards=2, nodes=1, heartbeat_interval=None)
+        self._query(backend)
+        assert backend._values, "the query left no resident values"
+        stops = []
+        original = LocalNodeCluster.stop
         monkeypatch.setattr(
-            _DatasetSegment, "release",
-            lambda segment: (releases.append(segment.key), original(segment))[1],
+            LocalNodeCluster, "stop",
+            lambda cluster: (stops.append(cluster), original(cluster))[1],
         )
         backend.close()
         backend.close()
-        assert releases == [("d", 1)]
+        assert len(stops) == 1
+        assert not backend._values
+        assert backend._sessions == [None]
 
     def test_context_manager_overlapping_explicit_close(self):
-        with ShardedExecutionBackend(shards=2, workers=1) as backend:
-            backend._ensure_started()
+        with RemoteShardBackend(
+            shards=2, nodes=1, heartbeat_interval=None
+        ) as backend:
+            self._query(backend)
             backend.close()  # __exit__ will close again — must not raise
 
 
 class TestComputationManagerTeardown:
     def test_sharded_manager_double_close(self):
-        manager = ComputationManager(backend="sharded", shards=2, max_workers=2)
+        manager = ComputationManager(backend="remote", shards=2, max_workers=2)
         backend = manager.sharded_backend
-        backend._ensure_started()
+        assert backend._session(0) is not None
         manager.close()
         manager.close()
         assert backend._closed
@@ -102,7 +121,7 @@ class TestRuntimeTeardown:
     def test_double_close_unhooks_exactly_once(self):
         manager = DatasetManager()
         manager.register("d", _table(), total_budget=10.0)
-        runtime = GuptRuntime(manager, rng=0, backend="sharded", shards=2)
+        runtime = GuptRuntime(manager, rng=0, backend="remote", shards=2)
         runtime.run(
             "d", Mean(), TightRange((0.0, 100.0)), epsilon=0.5,
             block_size=50, rng=1,
@@ -116,14 +135,14 @@ class TestRuntimeTeardown:
     def test_close_without_any_query(self):
         manager = DatasetManager()
         manager.register("d", _table(), total_budget=10.0)
-        runtime = GuptRuntime(manager, rng=0, backend="sharded", shards=2)
+        runtime = GuptRuntime(manager, rng=0, backend="remote", shards=2)
         runtime.close()
         runtime.close()
 
 
 class TestServiceTeardown:
     def _service(self) -> GuptService:
-        service = GuptService(rng=0, backend="sharded", shards=2, workers=2)
+        service = GuptService(rng=0, backend="remote", shards=2, workers=2)
         owner = service.enroll(OWNER, "o")
         service.register_dataset(owner.token, "d", _table(), total_budget=10.0)
         return service

@@ -47,6 +47,14 @@ class TestBatchPrimitives:
         assert supports_batch(Mean())
         assert not supports_batch(plain_mean)
 
+    def test_raising_batch_lookup_means_no_batch_form(self):
+        class HostileLookup:
+            @property
+            def run_batch(self):
+                raise RuntimeError("hostile run_batch lookup")
+
+        assert not supports_batch(HostileLookup())
+
     def test_estimators_satisfy_the_protocol(self):
         for program in (Mean(), Median(), Variance(), StandardDeviation()):
             assert isinstance(program, VectorizedProgram)

@@ -62,11 +62,10 @@ class PlanKey:
     ``shards`` is the logical shard count of the sharded plan protocol
     (see :func:`repro.core.blocks.draw_sharded_plan`); it participates
     in the key because the combined plan is a pure function of
-    ``(seed, shards)``.  ``shard`` scopes a *shard-local* entry — a
-    node memoizing its own slice of the plan keys on its shard index
-    so two shards' entries can never serve each other's rows; ``-1``
-    (the default) marks a whole-dataset entry.  Both are public
-    execution parameters, never functions of record values.
+    ``(seed, shards)`` — a public execution parameter, never a function
+    of record values.  Keys always name a whole-dataset plan: shard
+    nodes draw and gather their slices fresh per query and memoize
+    nothing (:func:`repro.runtime.shard.execute_shard_rows`).
     """
 
     dataset: str
@@ -76,7 +75,6 @@ class PlanKey:
     resampling_factor: int
     seed: int
     shards: int = 1
-    shard: int = -1
 
 
 class _Entry:

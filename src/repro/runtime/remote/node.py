@@ -4,12 +4,15 @@ A node is the client component of GUPT's computation manager for the
 shard protocol of :mod:`repro.runtime.shard`: it holds the raw row
 slices of the logical shards assigned to it (pushed once per
 ``(dataset, version)`` by the coordinator), plans each shard locally
-from ``spawn(plan_seed, S)[s]``, executes the analyst program, and
-returns *only* the clamped ``(l_s, p)`` block-output partial and success
-mask.  Because it runs :func:`repro.runtime.shard.execute_shard_rows`
-— a pure function of the shard's rows and the public spec — a remote
-release is bit-identical to every in-process backend replaying the same
-S-sharded plan.  Nodes run as threads of the coordinator's process, as
+from ``spawn(plan_seed, S)[s]``, gathers its blocks in one pass,
+executes the analyst program, and returns *only* the clamped
+``(l_s, p)`` block-output partial, success mask and kernel wall-clock.
+It memoizes no plans or materializations (every query carries a fresh
+plan seed, so such a cache could never hit).  Because it runs
+:func:`repro.runtime.shard.execute_shard_rows` — a pure function of
+the shard's rows and the public spec — a remote release is
+bit-identical to every in-process backend replaying the same S-sharded
+plan.  Nodes run as threads of the coordinator's process, as
 ``repro shard-node`` processes on the same box (single-box
 multi-process sharding), or on other hosts.  A program that fails to
 load or run fails its blocks (fallback rows), never the node.
@@ -61,15 +64,9 @@ import threading
 import numpy as np
 
 from repro.core.blocks import shard_offsets
-from repro.core.plan_cache import BlockPlanCache
 from repro.exceptions import GuptError
-from repro.observability import MetricsRegistry
 from repro.runtime.remote import wire
-from repro.runtime.shard import (
-    DEFAULT_RESIDENT_DATASETS,
-    DEFAULT_WORKER_PLAN_ENTRIES,
-    execute_shard_rows,
-)
+from repro.runtime.shard import DEFAULT_RESIDENT_DATASETS, execute_shard_rows
 from repro.testing import failpoints
 
 #: Sites every message (and every outgoing partial) passes through.
@@ -112,8 +109,6 @@ class ShardNodeServer:
         never race for a probed port.
     resident_datasets:
         LRU bound on ``(dataset, version)`` entries kept in memory.
-    plan_cache_entries:
-        Shard-local plan cache size (plans + stacked materializations).
     secret:
         Shared authentication secret.  When set, every coordinator must
         complete the HMAC challenge-response before any non-handshake
@@ -131,16 +126,12 @@ class ShardNodeServer:
         host: str = "127.0.0.1",
         port: int = 0,
         resident_datasets: int = DEFAULT_RESIDENT_DATASETS,
-        plan_cache_entries: int = DEFAULT_WORKER_PLAN_ENTRIES,
         secret: str | None = None,
         curated: dict[str, np.ndarray] | None = None,
     ):
         self._host = host
         self._port = port
         self._resident_datasets = max(1, int(resident_datasets))
-        self._plan_cache = BlockPlanCache(
-            max_entries=plan_cache_entries, metrics=MetricsRegistry()
-        )
         self._secret = secret if secret else None
         self._curated: dict[str, np.ndarray] = {}
         for name, rows in (curated or {}).items():
@@ -527,7 +518,7 @@ class ShardNodeServer:
                 )
                 continue
             outputs, succeeded, elapsed = execute_shard_rows(
-                rows, spec, shard, program_bytes, self._plan_cache
+                rows, spec, shard, program_bytes
             )
             meta, body = wire.array_to_body(outputs)
             _hit_failpoints()

@@ -14,30 +14,34 @@ nodes (:mod:`repro.runtime.remote.node`) on this box or others.
   field is analyst-chosen or public geometry.
 * **Shard-local planning and execution.**  :func:`execute_shard_rows`
   draws shard ``s``'s block plan from ``spawn(plan_seed, S)[s]`` (the
-  protocol of :func:`repro.core.blocks.draw_sharded_plan`), memoizes the
-  plan and its stacked materialization in the executor's
-  :class:`~repro.core.plan_cache.BlockPlanCache`, and runs the program —
+  protocol of :func:`repro.core.blocks.draw_sharded_plan`), gathers its
+  stacked materialization in one pass, and runs the program —
   vectorized ``run_batch`` when the program declares one, per-block
-  fresh-instance execution otherwise.
+  fresh-instance execution otherwise.  Nothing is memoized: every query
+  carries a fresh 63-bit ``plan_seed`` (and the coordinator's answer
+  cache serves same-seed repeats before they ship), so a shard-local
+  plan cache could never hit and would only pin gathered rows of past
+  queries in node memory.
 * **Partials-only combine.**  The only thing the kernel returns is the
   ``(l_s, p)`` matrix of block outputs (clamped to the declared output
-  ranges when the query has them), the success mask, and a timing
-  scalar.  The coordinator concatenates partials in shard order —
-  reproducing the single-process block order exactly — so a seeded
-  query releases the same bits as ``serial``/``thread``/``pool``/
-  ``vectorized`` replaying the same sharded plan, for any number of
-  executors.
+  ranges when the query has them), the success mask, and the kernel's
+  wall-clock (plan draw, gather and execution; the draw and gather
+  cost is a function of public geometry only).  The coordinator
+  concatenates partials in shard order — reproducing the
+  single-process block order exactly — so a seeded query releases the
+  same bits as ``serial``/``thread``/``pool``/``vectorized`` replaying
+  the same sharded plan, for any number of executors.
 """
 
 from __future__ import annotations
 
 import pickle
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.blocks import draw_shard_local_plan
-from repro.core.plan_cache import BlockPlanCache, PlanKey
 from repro.runtime.vectorized import (
     BatchOutputs,
     run_batch_blocks,
@@ -48,9 +52,6 @@ from repro.runtime.vectorized import (
 #: Datasets a shard executor keeps resident at once (the node segment
 #: LRU, mirrored by the coordinator's cache of pushable values).
 DEFAULT_RESIDENT_DATASETS = 4
-
-#: Plan-cache entries per executor (local plans + stacked materializations).
-DEFAULT_WORKER_PLAN_ENTRIES = 8
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,6 @@ def execute_shard_rows(
     spec: ShardQuerySpec,
     shard: int,
     program_bytes: bytes,
-    plan_cache: BlockPlanCache,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Plan, materialize and run one logical shard; returns its partial.
 
@@ -93,37 +93,26 @@ def execute_shard_rows(
     shard)``, so every executor of this function — any node, or an
     in-process replay of the kernel — computes the identical partial.
     The returned outputs are already clamped when the spec carries
-    ranges.
+    ranges; the returned seconds cover the whole kernel, so a
+    coordinator's wire/compute split books the draw and gather as
+    compute, not transport.
     """
-    num_local = int(local_values.shape[0])
-    key = PlanKey(
-        dataset=spec.dataset,
-        version=spec.version,
-        num_records=spec.num_records,
-        block_size=spec.block_size,
-        resampling_factor=spec.resampling_factor,
-        seed=spec.plan_seed,
-        shards=spec.shards,
-        shard=shard,
+    started = time.perf_counter()
+    plan = draw_shard_local_plan(
+        int(local_values.shape[0]),
+        spec.block_size,
+        spec.resampling_factor,
+        spec.plan_seed,
+        spec.shards,
+        shard,
     )
-
-    def draw():
-        return draw_shard_local_plan(
-            num_local,
-            spec.block_size,
-            spec.resampling_factor,
-            spec.plan_seed,
-            spec.shards,
-            shard,
-        )
-
-    plan, stacked = plan_cache.plan_and_stack(key, local_values, draw)
+    stacked = plan.stack(local_values)
     fallback = np.asarray(spec.fallback, dtype=float)
     if stacked is None:  # empty shard: no full block fits
         return (
             np.empty((0, spec.output_dimension), dtype=float),
             np.empty(0, dtype=bool),
-            0.0,
+            time.perf_counter() - started,
         )
 
     # A program that cannot even be loaded fails every block under the
@@ -152,12 +141,11 @@ def execute_shard_rows(
             np.asarray(spec.clamp_lo, dtype=float),
             np.asarray(spec.clamp_hi, dtype=float),
         )
-    return outputs, batch.succeeded, batch.elapsed
+    return outputs, batch.succeeded, time.perf_counter() - started
 
 
 __all__ = [
     "ShardQuerySpec",
     "DEFAULT_RESIDENT_DATASETS",
-    "DEFAULT_WORKER_PLAN_ENTRIES",
     "execute_shard_rows",
 ]

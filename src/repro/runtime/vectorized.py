@@ -221,9 +221,10 @@ def run_stacked_serial(
     started = time.perf_counter()
     for i in range(num_blocks):
         # A writable per-block copy, matching the chamber path's contract
-        # for frozen cached materializations: a program that mutates its
-        # input scribbles on the copy, never on the shared stack — and
-        # succeeds exactly when it would under the serial chamber.
+        # for frozen materializations: a program that mutates its input
+        # scribbles on the copy, never on the stack later blocks are
+        # cut from — and succeeds exactly when it would under the serial
+        # chamber.
         block = np.array(stacked[i])
         try:
             raw = pickle.loads(program_bytes)(block)

@@ -175,11 +175,9 @@ class TestKeyPrivacyInvariant:
             "seed",
             # Sharded plan protocol: the logical shard count is a public
             # plan parameter (the combined plan is a pure function of
-            # seed and shards), and the shard index scopes worker-local
-            # entries — both analyst-visible execution geometry, never
-            # record-derived.
+            # seed and shards) — analyst-visible execution geometry,
+            # never record-derived.
             "shards",
-            "shard",
         }
 
     def test_same_public_parameters_same_entry_regardless_of_values(self):

@@ -30,12 +30,12 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.blocks import shard_offsets
-from repro.core.plan_cache import BlockPlanCache
 from repro.estimators.statistics import Mean
 from repro.observability import MetricsRegistry
 from repro.runtime.remote import RemoteShardBackend, ShardNodeServer
@@ -74,16 +74,15 @@ def kernel_release(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The shard kernel run in-process over every shard, in shard order.
 
-    No transport, no coordinator, a fresh plan cache: the reference
-    every remote release must reproduce byte for byte.  Returns the
-    combined ``(outputs, succeeded)``.
+    No transport, no coordinator: the reference every remote release
+    must reproduce byte for byte.  Returns the combined
+    ``(outputs, succeeded)``.
     """
-    cache = BlockPlanCache(metrics=MetricsRegistry())
     offsets = shard_offsets(spec.num_records, spec.shards)
     partials = [
         execute_shard_rows(
             values[int(offsets[s]) : int(offsets[s + 1])],
-            spec, s, program_bytes, cache,
+            spec, s, program_bytes,
         )
         for s in range(spec.shards)
     ]
@@ -234,6 +233,41 @@ class TestNodeSlowMatrix:
         assert succeeded.all()
         assert metrics.counter("remote.node_deaths").value == 0
         assert metrics.counter("remote.reassigned_shards").value == 0
+
+
+class TestNodeTiming:
+    """A PARTIAL's ``elapsed`` covers the whole shard kernel.
+
+    A coordinator splits a dispatch into node compute (the PARTIALs'
+    ``elapsed``) and wire time (the rest).  If the node timed only the
+    program run, its plan draw and gather would be booked as wire
+    time; slowing the draw by a fixed sleep must therefore show up in
+    the ``elapsed`` the coordinator collects.
+    """
+
+    DELAY = 0.05
+
+    def test_plan_draw_is_booked_as_node_compute(self, monkeypatch, baseline):
+        from repro.runtime import shard as shard_module
+
+        draw = shard_module.draw_shard_local_plan
+
+        def slow_draw(*args, **kwargs):
+            time.sleep(self.DELAY)
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(shard_module, "draw_shard_local_plan", slow_draw)
+        backend = RemoteShardBackend(
+            shards=SHARDS, nodes=2, heartbeat_interval=None, node_timeout=10.0,
+            metrics=MetricsRegistry(),
+        )
+        try:
+            _, batch = backend.run_sharded(PROGRAM, _values(), SPEC)
+        finally:
+            backend.close()
+        np.testing.assert_array_equal(batch.outputs, baseline)
+        # One draw per shard, each summed into the combined elapsed.
+        assert batch.elapsed >= SHARDS * self.DELAY
 
 
 class TestCoordinatorSendFaults:

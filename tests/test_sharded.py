@@ -34,6 +34,7 @@ from repro.runtime.computation_manager import ComputationManager
 from repro.runtime.remote import RemoteShardBackend, local_node_cluster
 from repro.runtime.shard import ShardQuerySpec
 from repro.runtime.timing import TimingDefense
+from tests.test_blocks import plan_digest
 
 SEED = 424242
 QUERY_SEED = 7
@@ -220,6 +221,40 @@ class TestCombineProtocol:
                 slice_stacked_for_shard(combined_stacked, combined_key, shard),
                 local_stacked,
             )
+
+    @pytest.mark.parametrize(
+        "n, beta, gamma, seed, shards, shape, digest",
+        [
+            (997, 25, 2, 2**62 + 5, 3, (78, 25),
+             "c7db5cfb72b112d84c3fd3110f7327728d06fda37d855b274d26730ca721cf8b"),
+            (600, 50, 3, 7, 4, (36, 50),
+             "9879993dbea819a17ca08025bb1d6f821458d63600138530e0428ed2e24e3dcc"),
+            (200_000, 1000, 1, 9, 4, (200, 1000),
+             "987b2e5710f74196186ade1ce459ece38cc841440787d9591f57fdd8cb1f42e3"),
+        ],
+        ids=["n997-g2-S3", "n600-g3-S4", "n200k-g1-S4"],
+    )
+    def test_sharded_plan_matches_pinned_digest(
+        self, n, beta, gamma, seed, shards, shape, digest
+    ):
+        """Digests computed from the per-block-list draw the
+        matrix-native concatenation replaced: no plan bit moved."""
+        combined = draw_sharded_plan(
+            n, block_size=beta, resampling_factor=gamma,
+            plan_seed=seed, shards=shards,
+        )
+        matrix = combined.index_matrix
+        assert matrix.shape == shape
+        assert not matrix.flags.writeable
+        assert all(block.base is matrix for block in combined.blocks)
+        assert plan_digest(matrix) == digest
+
+    def test_shard_local_plan_matches_pinned_digest(self):
+        local = draw_shard_local_plan(333, 25, 3, plan_seed=77, shards=3, shard=1)
+        assert local.index_matrix.shape == (39, 25)
+        assert plan_digest(local.index_matrix) == (
+            "a9df906215a20e26ee859b99dd2282bf46bcad313ab385ccb263dc555db23234"
+        )
 
     def test_shard_block_counts_partition_the_plan(self):
         counts = shard_block_counts(NUM_RECORDS, BLOCK_SIZE, 2, 3)

@@ -201,11 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
              "replay the already-published release at zero marginal "
              "epsilon (default: disabled)",
     )
-    serve.add_argument(
-        "--fusion-limit", type=int, default=None, metavar="N",
-        help="coalesce up to N adjacent same-plan queries per dataset "
-             "into one stacked dispatch (default: disabled)",
-    )
 
     shard_node = commands.add_parser(
         "shard-node",
@@ -433,7 +428,6 @@ def run_serve_http(args) -> int:
         query_timeout=args.query_timeout,
         state_dir=args.state_dir,
         answer_cache_size=args.answer_cache,
-        fusion_limit=args.fusion_limit,
     )
     server = GuptHttpServer(
         service, host=host, port=port,
@@ -508,7 +502,6 @@ def run_serve(args) -> int:
         query_timeout=args.query_timeout,
         state_dir=args.state_dir,
         answer_cache_size=args.answer_cache,
-        fusion_limit=args.fusion_limit,
     )
     try:
         owner = service.enroll(OWNER, "owner")

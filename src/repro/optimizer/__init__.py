@@ -1,6 +1,6 @@
-"""Cross-query optimization: marginal-ε reuse and dispatch fusion.
+"""Cross-query optimization: marginal-ε reuse.
 
-Three composable layers on top of the GUPT runtime, motivated by the
+Two composable layers on top of the GUPT runtime, motivated by the
 service model of §5 — many analysts, heavy repetition:
 
 * :mod:`repro.optimizer.answer_cache` — a noisy-answer cache that
@@ -13,13 +13,9 @@ service model of §5 — many analysts, heavy repetition:
   threshold.  The *broken* SVT variants from that paper live in
   :mod:`repro.attacks.svt_variants`, deliberately out of reach of any
   service path, as attack-harness regressions.
-* :mod:`repro.optimizer.fusion` — the scheduler-side fusion key that
-  coalesces concurrent same-dataset/same-plan queries into one
-  back-to-back dispatch, amortizing plan + materialization work.
 """
 
 from repro.optimizer.answer_cache import AnswerCache, AnswerKey, build_answer_key
-from repro.optimizer.fusion import default_fusion_key
 from repro.optimizer.svt import SparseVector
 
 __all__ = [
@@ -27,5 +23,4 @@ __all__ = [
     "AnswerKey",
     "SparseVector",
     "build_answer_key",
-    "default_fusion_key",
 ]

@@ -16,16 +16,6 @@ serving layer that makes that safe and fair:
   dataset from starving the others; parallelism comes from concurrent
   datasets and from the block-level execution backend underneath
   (thread or worker-pool :class:`ComputationManager`).
-* **Batch fusion** (optional).  With a ``fusion_key``, the worker that
-  claims a dataset's dispatch slot drains a short run of *adjacent*
-  queries with the same fusion identity (same dataset, same public plan
-  geometry) back-to-back before releasing the slot.  Fused queries keep
-  their own runner invocation, budget reservation, deadline handling
-  and response — released bits are identical to unfused execution; the
-  win is that followers hit the block-plan cache while the leader's
-  materialization is provably still warm, without another scheduler
-  round-trip.  Fusion telemetry: ``optimizer.fused_batches``,
-  ``optimizer.fused_queries``.
 * **Per-query timeouts.**  A query that exceeds ``query_timeout`` —
   waiting or running — resolves to a structured timeout response.  A
   still-queued query is killed before it ever reserves budget; a
@@ -59,7 +49,6 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.exceptions import GuptError, UnknownHandleError
 from repro.observability import MetricsRegistry, get_registry
-from repro.optimizer.fusion import DEFAULT_FUSION_LIMIT
 from repro.testing import failpoints
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
@@ -125,15 +114,6 @@ class QueryScheduler:
     metrics:
         Registry receiving the scheduler's release-safe telemetry;
         ``None`` uses the process default.
-    fusion_key:
-        Optional callable mapping a request to its fusion identity (see
-        :func:`repro.optimizer.fusion.default_fusion_key`); ``None``
-        (the default) disables batch fusion entirely.  Requests with
-        equal non-``None`` keys that sit *adjacent* in a dataset's FIFO
-        may be drained back-to-back by one worker.
-    fusion_limit:
-        Maximum queries one fused batch may drain (bounds how long a
-        hot dataset can hold a worker).
     """
 
     def __init__(
@@ -143,8 +123,6 @@ class QueryScheduler:
         queue_depth: int = 64,
         query_timeout: float | None = None,
         metrics: MetricsRegistry | None = None,
-        fusion_key: Callable[["QueryRequest"], object] | None = None,
-        fusion_limit: int = DEFAULT_FUSION_LIMIT,
     ):
         if workers < 1:
             raise GuptError("workers must be >= 1")
@@ -154,14 +132,10 @@ class QueryScheduler:
             raise GuptError("queue_depth must be >= 1")
         if query_timeout is not None and query_timeout <= 0:
             raise GuptError("query_timeout must be positive (or None)")
-        if fusion_limit < 1:
-            raise GuptError("fusion_limit must be >= 1")
         self._max_inflight = max_inflight
         self._queue_depth = queue_depth
         self._query_timeout = query_timeout
         self._metrics = metrics
-        self._fusion_key = fusion_key
-        self._fusion_limit = fusion_limit
 
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
@@ -191,9 +165,6 @@ class QueryScheduler:
             "scheduler.reservation_rollbacks",
         ):
             registry.counter(name).inc(0)
-        if fusion_key is not None:
-            registry.counter("optimizer.fused_batches").inc(0)
-            registry.counter("optimizer.fused_queries").inc(0)
 
         self._threads = [
             threading.Thread(
@@ -507,61 +478,25 @@ class QueryScheduler:
                 return ticket
         return None
 
-    def _pop_fused(self, leader: _Ticket) -> list[_Ticket]:
-        """Pop the leader's fusible FIFO neighbors (lock held).
-
-        Only *adjacent* tickets fuse: skipping over a non-fusible query
-        to reach a fusible one behind it would reorder the dataset's
-        FIFO, and dispatch order is part of the determinism contract.
-        Settled tickets at the head (cancelled/expired, lazily left in
-        the deque) are dropped in passing, exactly as dispatch would.
-        """
-        key = self._fusion_key(leader.request)
-        if key is None:
-            return []
-        queue = self._queues.get(leader.handle.dataset)
-        followers: list[_Ticket] = []
-        while queue and len(followers) < self._fusion_limit - 1:
-            head = queue[0]
-            if head.state != _QUEUED:
-                queue.popleft()
-                continue
-            if head.deadline is not None and (
-                time.perf_counter() >= head.deadline
-            ):
-                break  # let the ordinary expiry path settle it
-            if self._fusion_key(head.request) != key:
-                break
-            queue.popleft()
-            followers.append(head)
-        return followers
-
     def _settle(
         self,
         ticket: _Ticket,
         response,
         outcome: str,
         elapsed: float,
-        release_dataset: bool,
         registry,
     ) -> None:
-        """Resolve one dispatched ticket.
-
-        ``release_dataset`` frees the dataset's dispatch slot — a fused
-        batch holds the slot until its last ticket settles, preserving
-        the one-in-flight-per-dataset invariant for the whole batch.
-        """
+        """Resolve one dispatched ticket and free its dataset's slot."""
         with self._work:
             ticket.state = _DONE
             ticket.response = response
             self._running_total -= 1
             principal = ticket.handle.principal
             self._inflight[principal] = self._inflight.get(principal, 1) - 1
-            if release_dataset:
-                dataset = ticket.handle.dataset
-                self._busy_datasets.discard(dataset)
-                if self._queues.get(dataset) and dataset not in self._rotation:
-                    self._rotation.append(dataset)
+            dataset = ticket.handle.dataset
+            self._busy_datasets.discard(dataset)
+            if self._queues.get(dataset) and dataset not in self._rotation:
+                self._rotation.append(dataset)
             registry.counter("scheduler.completed", outcome=outcome).inc()
             registry.gauge("scheduler.running").set(self._running_total)
             registry.histogram("scheduler.run_seconds").observe(elapsed)
@@ -579,37 +514,22 @@ class QueryScheduler:
                         return
                     self._work.wait(0.05)
                     ticket = self._next_ticket()
-                batch = [ticket]
-                if self._fusion_key is not None:
-                    batch.extend(self._pop_fused(ticket))
-                for member in batch:
-                    member.state = _RUNNING
-                self._queued_total -= len(batch)
-                self._running_total += len(batch)
+                ticket.state = _RUNNING
+                self._queued_total -= 1
+                self._running_total += 1
                 registry.gauge("scheduler.queue_depth").set(self._queued_total)
                 registry.gauge("scheduler.running").set(self._running_total)
-            if len(batch) > 1:
-                registry.counter("optimizer.fused_batches").inc()
-                registry.counter("optimizer.fused_queries").inc(len(batch) - 1)
+            self._dispatch_one(ticket, registry)
 
-            for index, member in enumerate(batch):
-                self._dispatch_one(
-                    member,
-                    registry,
-                    release_dataset=(index == len(batch) - 1),
-                )
-
-    def _dispatch_one(
-        self, ticket: _Ticket, registry, release_dataset: bool
-    ) -> None:
+    def _dispatch_one(self, ticket: _Ticket, registry) -> None:
         """Run one claimed ticket to its terminal response."""
         ticket.started_at = time.perf_counter()
         registry.histogram("scheduler.wait_seconds").observe(
             ticket.started_at - ticket.submitted_at
         )
         if ticket.deadline is not None and ticket.started_at >= ticket.deadline:
-            # A fused follower can expire while its batch predecessors
-            # run; like the queued-expiry path, it is killed before its
+            # The deadline can pass between the pop and this point; like
+            # the queued-expiry path, the query is killed before its
             # runner — and before any reservation — ever executes.
             registry.counter("scheduler.timeout_kills").inc()
             self._settle(
@@ -621,7 +541,6 @@ class QueryScheduler:
                 ),
                 "timeout",
                 0.0,
-                release_dataset,
                 registry,
             )
             return
@@ -666,7 +585,7 @@ class QueryScheduler:
         if getattr(response, "epsilon_rolled_back", 0.0) > 0.0:
             registry.counter("scheduler.reservation_rollbacks").inc()
 
-        self._settle(ticket, response, outcome, elapsed, release_dataset, registry)
+        self._settle(ticket, response, outcome, elapsed, registry)
 
 
 __all__ = ["QueryHandle", "QueryScheduler"]

@@ -59,7 +59,6 @@ from repro.exceptions import (
 )
 from repro.mechanisms.rng import RandomSource
 from repro.observability import MetricsRegistry, get_registry
-from repro.optimizer.fusion import DEFAULT_FUSION_LIMIT, default_fusion_key
 from repro.optimizer.svt import SparseVector
 from repro.runtime.computation_manager import ComputationManager
 from repro.runtime.scheduler import QueryHandle, QueryScheduler
@@ -235,7 +234,6 @@ class GuptService:
         state_dir: str | None = None,
         plan_cache_size: int | None = None,
         answer_cache_size: int | None = None,
-        fusion_limit: int | None = None,
         max_svt_sessions: int = 64,
     ):
         self._metrics = metrics
@@ -274,18 +272,11 @@ class GuptService:
         self._svt_lock = threading.Lock()
         # The scheduler (and its worker threads) is created lazily on the
         # first async submission, so purely blocking users pay nothing.
-        # fusion_limit > 1 lets one scheduler worker drain adjacent
-        # same-dataset/same-plan seeded queries back-to-back (see
-        # repro.optimizer.fusion) — released bits are unaffected.
-        if fusion_limit is not None and fusion_limit < 1:
-            raise GuptError("fusion_limit must be >= 1 (or None to disable)")
         self._scheduler_config = dict(
             workers=scheduler_workers,
             max_inflight=max_inflight,
             queue_depth=queue_depth,
             query_timeout=query_timeout,
-            fusion_key=default_fusion_key if fusion_limit else None,
-            fusion_limit=fusion_limit or DEFAULT_FUSION_LIMIT,
         )
         self._scheduler: QueryScheduler | None = None
         self._scheduler_lock = threading.Lock()

@@ -71,6 +71,8 @@ _MAX_BODY_BYTES = 64 * 1024 * 1024
 _MAX_HEADER_BYTES = 64 * 1024
 #: Ceiling on one poll's long-poll wait; clients re-poll for longer waits.
 _MAX_POLL_TIMEOUT = 30.0
+#: Sleep between non-blocking result checks while a request waits.
+_POLL_INTERVAL = 0.002
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 401: "Unauthorized",
@@ -133,7 +135,6 @@ class GuptHttpServer:
         admin_token: str | None = None,
         metrics: MetricsRegistry | None = None,
         state_dir: str | None = None,
-        poll_interval: float = 0.002,
     ):
         self._service = service
         self._host = host
@@ -141,7 +142,6 @@ class GuptHttpServer:
         self.admin_token = admin_token or f"admin-{secrets.token_hex(16)}"
         self._metrics = metrics
         self._state_dir = state_dir
-        self._poll_interval = poll_interval
 
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -689,7 +689,7 @@ class GuptHttpServer:
             response = self._service.result(handle, timeout=0.0)
             if response is not None or loop.time() >= deadline:
                 return response
-            await asyncio.sleep(self._poll_interval)
+            await asyncio.sleep(_POLL_INTERVAL)
 
     def _terminal_response(self, response, handle: QueryHandle) -> _Response:
         wire = protocol.response_to_wire(response)
@@ -772,7 +772,7 @@ class GuptHttpServer:
                     writer.write(b": keepalive\n\n")
                     await writer.drain()
                     last_beat = loop.time()
-                await asyncio.sleep(self._poll_interval)
+                await asyncio.sleep(_POLL_INTERVAL)
         except (ConnectionError, OSError):  # pragma: no cover - client gone
             pass
         return None  # connection closes (Connection: close)

@@ -26,6 +26,7 @@ from repro.core.range_estimation import TightRange
 from repro.datasets.table import DataTable
 from repro.exceptions import GuptError
 from repro.observability import MetricsRegistry
+from repro.runtime import scheduler as scheduler_module
 from repro.runtime.scheduler import QueryScheduler
 from repro.runtime.service import (
     ANALYST,
@@ -226,6 +227,66 @@ class TestTimeoutsAndCancellation:
             gate.set()
         assert ran == []  # the timed-out query never executed
         assert registry.snapshot()["counters"]["scheduler.timeout_kills"] >= 1.0
+
+    def test_deadline_passing_between_pop_and_start_kills_before_runner(
+        self, monkeypatch
+    ):
+        """A query whose deadline passes after a worker pops it but before
+        its runner starts is killed there, before any reservation."""
+        clock = SimpleNamespace(now=1000.0)
+        monkeypatch.setattr(
+            scheduler_module, "time", SimpleNamespace(perf_counter=lambda: clock.now)
+        )
+        claimed = []
+        next_ticket = QueryScheduler._next_ticket
+
+        def next_ticket_then_expire(self):
+            ticket = next_ticket(self)
+            if ticket is not None:
+                # The pop saw a live deadline; step the clock past it
+                # before the worker reaches dispatch.
+                claimed.append(ticket.handle.id)
+                clock.now += 60.0
+            return ticket
+
+        monkeypatch.setattr(QueryScheduler, "_next_ticket", next_ticket_then_expire)
+        ran = []
+
+        def tracked_mean(block):
+            ran.append(True)
+            return float(np.mean(block))
+
+        registry = MetricsRegistry()
+        service = GuptService(
+            metrics=registry, rng=3, scheduler_workers=1, query_timeout=30.0
+        )
+        try:
+            owner = service.enroll(OWNER)
+            analyst = service.enroll(ANALYST)
+            table = DataTable(
+                np.random.default_rng(7).uniform(0.0, 10.0, size=(64, 1)),
+                column_names=("x",),
+            )
+            service.register_dataset(owner.token, "d", table, total_budget=1.0)
+            handle = service.submit(analyst.token, QueryRequest(
+                dataset="d", program=tracked_mean,
+                range_strategy=TightRange(((0.0, 10.0),)),
+                epsilon=0.25, block_size=8, seed=1,
+            ))
+            response = service.result(handle)
+            assert claimed == [handle.id]  # a worker popped it
+            assert ran == []  # ... but the program never ran
+            assert not response.ok
+            assert response.code == "timeout"
+            assert "before dispatch" in response.error
+            assert response.epsilon_charged == 0.0
+            description = service.describe_dataset(owner.token, "d")
+            assert description.remaining_budget == 1.0
+            assert service.ledger_entries(owner.token, "d") == []
+        finally:
+            service.close()
+        counters = registry.snapshot()["counters"]
+        assert counters["scheduler.timeout_kills"] == 1.0
 
     def test_running_query_timeout_discards_result(self):
         def slow(request):

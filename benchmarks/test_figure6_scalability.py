@@ -89,7 +89,6 @@ def test_backend_scalability():
     configs = [
         ("subprocess-fork", lambda: ComputationManager(chamber=SubprocessChamber())),
         ("serial", lambda: ComputationManager(backend="serial")),
-        ("thread-4", lambda: ComputationManager(backend="thread", max_workers=4)),
         ("pool-1", lambda: ComputationManager(backend="pool", max_workers=1)),
         ("pool-2", lambda: ComputationManager(backend="pool", max_workers=2)),
         ("pool-4", lambda: ComputationManager(backend="pool", max_workers=4)),

@@ -92,8 +92,8 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="fan-out width for the thread/pool backends (and the "
-             "default node and shard count under --backend remote)",
+        help="worker processes of the pool backend (and the default "
+             "node and shard count under --backend remote)",
     )
     parser.add_argument(
         "--nodes", default=None, metavar="N|HOST:PORT,...",
@@ -113,10 +113,6 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
              "public plan parameter the released bits depend on (like "
              "--block-size), honored by every backend; default 1, or "
              "one shard per worker under --backend remote",
-    )
-    parser.add_argument(
-        "--dispatch-batch", type=int, default=None, metavar="N",
-        help="blocks per dispatch batch (thread/pool; default auto)",
     )
     parser.add_argument(
         "--state-dir", default=None, metavar="DIR",
@@ -316,7 +312,6 @@ def _execute_query(args, metrics: MetricsRegistry | None = None):
         metrics=metrics,
         backend=args.backend,
         workers=args.workers,
-        batch_size=args.dispatch_batch,
         shards=args.shards,
         nodes=_resolve_nodes(args.nodes),
         node_secret=args.node_secret,
@@ -418,7 +413,6 @@ def run_serve_http(args) -> int:
         rng=args.seed,
         backend=args.backend,
         workers=args.workers,
-        batch_size=args.dispatch_batch,
         shards=args.shards,
         nodes=_resolve_nodes(args.nodes),
         node_secret=args.node_secret,
@@ -492,7 +486,6 @@ def run_serve(args) -> int:
         rng=args.seed,
         backend=args.backend,
         workers=args.workers,
-        batch_size=args.dispatch_batch,
         shards=args.shards,
         nodes=_resolve_nodes(args.nodes),
         node_secret=args.node_secret,

@@ -64,10 +64,11 @@ class GuptRuntime:
         Registry receiving phase spans and query telemetry; ``None``
         uses the process default.  Every recorded value is release-safe
         (see :mod:`repro.observability`).
-    backend, workers, batch_size, shards, nodes:
+    backend, workers, shards, nodes:
         Convenience knobs that build the computation manager in place
-        (``backend`` one of ``serial``/``thread``/``pool``/
-        ``vectorized``/``remote``; ``shards`` the logical
+        (``backend`` one of ``serial``/``pool``/``vectorized``/
+        ``remote``; ``workers`` the pool width and the remote backend's
+        default node and shard count; ``shards`` the logical
         shard count of the sharded plan protocol — a public plan
         parameter released bits depend on, applying to every backend;
         ``nodes`` the shard-node cluster for ``backend="remote"`` —
@@ -119,7 +120,6 @@ class GuptRuntime:
         metrics: MetricsRegistry | None = None,
         backend: str | None = None,
         workers: int | None = None,
-        batch_size: int | None = None,
         shards: int | None = None,
         nodes: int | list | None = None,
         node_secret: str | None = None,
@@ -132,20 +132,18 @@ class GuptRuntime:
         if computation_manager is not None and (
             backend is not None
             or workers is not None
-            or batch_size is not None
             or shards is not None
             or nodes is not None
             or node_secret is not None
         ):
             raise GuptError(
                 "pass either computation_manager or backend/workers/"
-                "batch_size/shards/nodes/node_secret, not both"
+                "shards/nodes/node_secret, not both"
             )
         if computation_manager is None:
             computation_manager = ComputationManager(
                 max_workers=workers if workers is not None else 1,
                 backend=backend,
-                batch_size=batch_size,
                 shards=shards,
                 nodes=nodes,
                 node_secret=node_secret,

@@ -81,11 +81,6 @@ class Figure6Config:
     num_clusters: int = 3
     iteration_counts: tuple[int, ...] = (20, 80, 100, 200)
     epsilon: float = 1.0
-    #: Worker threads for block execution.  The paper ran on two 8-core
-    #: Xeons; on a single-core host extra workers only add overhead, so
-    #: the default stays serial and the comparison rests on per-block
-    #: convergence (small blocks converge in fewer Lloyd rounds).
-    workers: int = 1
     seed: int = 6
 
     @staticmethod

@@ -15,7 +15,7 @@ serving layer that makes that safe and fair:
   keeps its budget burn-down order deterministic and stops one hot
   dataset from starving the others; parallelism comes from concurrent
   datasets and from the block-level execution backend underneath
-  (thread or worker-pool :class:`ComputationManager`).
+  (the worker-pool or remote :class:`ComputationManager`).
 * **Per-query timeouts.**  A query that exceeds ``query_timeout`` —
   waiting or running — resolves to a structured timeout response.  A
   still-queued query is killed before it ever reserves budget; a
@@ -265,17 +265,18 @@ class QueryScheduler:
             remaining = None
             if wait_deadline is not None:
                 remaining = max(0.0, wait_deadline - time.perf_counter())
-            if ticket.deadline is not None and not ticket.done.is_set():
+            if ticket.deadline is not None and ticket.state == _QUEUED:
                 # Wake up at the query's own deadline so a queued query
                 # stuck behind a long-running one still times out on
                 # schedule rather than when a worker finally pops it.
+                # A running query is settled by its worker, so waiting
+                # for it just blocks on ``done``.
                 until_deadline = max(0.0, ticket.deadline - time.perf_counter())
                 remaining = (
                     until_deadline if remaining is None
                     else min(remaining, until_deadline)
                 )
-            finished = ticket.done.wait(remaining)
-            if finished:
+            if ticket.done.wait(remaining):
                 return ticket.response
             if ticket.deadline is not None and (
                 time.perf_counter() >= ticket.deadline
@@ -283,7 +284,6 @@ class QueryScheduler:
                 self._expire(ticket)
                 if ticket.done.is_set():
                     return ticket.response
-                continue  # running past deadline: keep waiting for the worker
             if wait_deadline is not None and time.perf_counter() >= wait_deadline:
                 return None
 
@@ -416,22 +416,24 @@ class QueryScheduler:
         ticket.done.set()
         self._idle.notify_all()
 
+    def _timed_out_before_dispatch(self, registry):
+        """Count a pre-run timeout kill; returns its terminal response."""
+        registry.counter("scheduler.timeout_kills").inc()
+        return self._response(
+            ok=False,
+            error="query timed out before dispatch; no budget was spent",
+            code="timeout",
+        )
+
     def _expire(self, ticket: _Ticket) -> None:
         """Time out a still-queued ticket (called from ``result``)."""
         registry = self._registry()
         with self._lock:
             if ticket.state != _QUEUED:
                 return
-            registry.counter("scheduler.timeout_kills").inc()
             self._finalize_queued(
-                ticket,
-                self._response(
-                    ok=False,
-                    error="query timed out before dispatch; no budget was spent",
-                    code="timeout",
-                ),
-                "timeout",
-                registry,
+                ticket, self._timed_out_before_dispatch(registry),
+                "timeout", registry,
             )
 
     def _next_ticket(self) -> _Ticket | None:
@@ -454,17 +456,9 @@ class QueryScheduler:
                 if candidate.deadline is not None and (
                     time.perf_counter() >= candidate.deadline
                 ):
-                    registry.counter("scheduler.timeout_kills").inc()
                     self._finalize_queued(
-                        candidate,
-                        self._response(
-                            ok=False,
-                            error="query timed out before dispatch; "
-                                  "no budget was spent",
-                            code="timeout",
-                        ),
-                        "timeout",
-                        registry,
+                        candidate, self._timed_out_before_dispatch(registry),
+                        "timeout", registry,
                     )
                     continue
                 ticket = candidate
@@ -531,17 +525,9 @@ class QueryScheduler:
             # The deadline can pass between the pop and this point; like
             # the queued-expiry path, the query is killed before its
             # runner — and before any reservation — ever executes.
-            registry.counter("scheduler.timeout_kills").inc()
             self._settle(
-                ticket,
-                self._response(
-                    ok=False,
-                    error="query timed out before dispatch; no budget was spent",
-                    code="timeout",
-                ),
-                "timeout",
-                0.0,
-                registry,
+                ticket, self._timed_out_before_dispatch(registry),
+                "timeout", 0.0, registry,
             )
             return
 

@@ -223,7 +223,6 @@ class GuptService:
         metrics: MetricsRegistry | None = None,
         backend: str | None = None,
         workers: int | None = None,
-        batch_size: int | None = None,
         shards: int | None = None,
         nodes: int | list | None = None,
         node_secret: str | None = None,
@@ -256,7 +255,6 @@ class GuptService:
             metrics=metrics,
             backend=backend,
             workers=workers,
-            batch_size=batch_size,
             shards=shards,
             nodes=nodes,
             node_secret=node_secret,

@@ -8,6 +8,7 @@ import pytest
 from repro.exceptions import ComputationError
 from repro.observability import MetricsRegistry
 from repro.runtime.computation_manager import ComputationManager
+from repro.runtime.pool import PoolChamberBackend
 
 BLOCKS = [np.full((10, 1), float(i)) for i in range(5)]
 
@@ -26,6 +27,18 @@ def always_fails_program(block):
     raise RuntimeError("boom")
 
 
+def failing_on_even_program(block):
+    if int(block[0, 0]) % 2 == 0:
+        raise RuntimeError
+    return float(np.mean(block))
+
+
+def only_three_program(block):
+    if int(block[0, 0]) != 3:
+        raise RuntimeError
+    return 3.0
+
+
 def _manager_for(backend: str, **kwargs) -> ComputationManager:
     return ComputationManager(backend=backend, max_workers=2, **kwargs)
 
@@ -38,9 +51,9 @@ class TestRunBlocks:
 
     def test_parallel_matches_serial(self):
         serial = ComputationManager(max_workers=1)
-        parallel = ComputationManager(max_workers=4)
         a = serial.run_blocks(mean_program, BLOCKS, 1, np.array([0.0]))
-        b = parallel.run_blocks(mean_program, BLOCKS, 1, np.array([0.0]))
+        with ComputationManager(backend="pool", max_workers=4) as parallel:
+            b = parallel.run_blocks(mean_program, BLOCKS, 1, np.array([0.0]))
         assert [r.output[0] for r in a] == [r.output[0] for r in b]
 
     def test_partial_failure_uses_fallback(self):
@@ -79,30 +92,26 @@ class TestRunBlocks:
 
 
 class TestParallelFanOut:
-    """The ``max_workers > 1`` branch: ordering, failures, metrics."""
+    """The pool's ``max_workers > 1`` fan-out: ordering, failures, metrics."""
 
     def test_ordering_preserved_despite_skewed_latencies(self):
         # Early blocks sleep longest, so completion order inverts
         # submission order; the result list must still follow block order.
         blocks = [np.full((4, 1), float(i)) for i in range(8)]
-
-        def skewed(block):
-            time.sleep((7 - block[0, 0]) * 0.005)
-            return float(block[0, 0])
-
-        manager = ComputationManager(max_workers=4)
-        results = manager.run_blocks(skewed, blocks, 1, np.array([0.0]))
+        with ComputationManager(backend="pool", max_workers=4) as manager:
+            results = manager.run_blocks(
+                shuffle_sensitive_program, blocks, 1, np.array([0.0])
+            )
         assert [r.output[0] for r in results] == [float(i) for i in range(8)]
 
     def test_partial_failures_counted_and_substituted(self):
-        def failing_on_even(block):
-            if int(block[0, 0]) % 2 == 0:
-                raise RuntimeError
-            return float(np.mean(block))
-
         metrics = MetricsRegistry()
-        manager = ComputationManager(max_workers=4, metrics=metrics)
-        results = manager.run_blocks(failing_on_even, BLOCKS, 1, np.array([-1.0]))
+        with ComputationManager(
+            backend="pool", max_workers=4, metrics=metrics
+        ) as manager:
+            results = manager.run_blocks(
+                failing_on_even_program, BLOCKS, 1, np.array([-1.0])
+            )
         assert [r.output[0] for r in results] == [-1.0, 1.0, -1.0, 3.0, -1.0]
         assert sum(1 for r in results if not r.succeeded) == 3
         assert metrics.counter("blocks.executed").value == 5
@@ -111,25 +120,20 @@ class TestParallelFanOut:
         assert metrics.gauge("blocks.pool_width").value == 4
 
     def test_raises_only_when_every_block_fails(self):
-        def always_fails(block):
-            raise RuntimeError
-
-        manager = ComputationManager(max_workers=4)
-        with pytest.raises(ComputationError):
-            manager.run_blocks(always_fails, BLOCKS, 1, np.array([0.0]))
-
-        def one_survivor(block):
-            if int(block[0, 0]) != 3:
-                raise RuntimeError
-            return 3.0
-
-        results = manager.run_blocks(one_survivor, BLOCKS, 1, np.array([0.0]))
+        with ComputationManager(backend="pool", max_workers=4) as manager:
+            with pytest.raises(ComputationError):
+                manager.run_blocks(always_fails_program, BLOCKS, 1, np.array([0.0]))
+            results = manager.run_blocks(
+                only_three_program, BLOCKS, 1, np.array([0.0])
+            )
         assert sum(1 for r in results if r.succeeded) == 1
 
     def test_per_block_latency_recorded_for_every_block(self):
         metrics = MetricsRegistry()
-        manager = ComputationManager(max_workers=4, metrics=metrics)
-        manager.run_blocks(mean_program, BLOCKS, 1, np.array([0.0]))
+        with ComputationManager(
+            backend="pool", max_workers=4, metrics=metrics
+        ) as manager:
+            manager.run_blocks(mean_program, BLOCKS, 1, np.array([0.0]))
         summary = metrics.histogram("blocks.latency_seconds").summary()
         assert summary["count"] == len(BLOCKS)
         assert summary["min"] >= 0.0
@@ -138,34 +142,38 @@ class TestParallelFanOut:
 class TestBackendSelection:
     """Backend resolution and per-backend result-ordering guarantees."""
 
-    def test_default_backend_tracks_worker_count(self):
+    def test_default_backend_is_serial(self):
         assert ComputationManager().backend == "serial"
-        assert ComputationManager(max_workers=4).backend == "thread"
+        assert ComputationManager(max_workers=4).backend == "serial"
         with ComputationManager(backend="pool", max_workers=2) as manager:
             assert manager.backend == "pool"
             assert manager.pool is not None
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "pool"])
+    @pytest.mark.parametrize("backend", ["serial", "pool"])
     def test_result_ordering_is_block_order(self, backend):
         # Per-block outputs encode the block index while completion
         # order is inverted; every backend must return submission order.
         blocks = [np.full((4, 1), float(i)) for i in range(8)]
-        with _manager_for(backend, batch_size=1) as manager:
-            results = manager.run_blocks(
-                shuffle_sensitive_program, blocks, 1, np.array([-1.0])
-            )
+        with PoolChamberBackend(workers=2, batch_size=1) as pool:
+            with _manager_for(backend, pool=pool) as manager:
+                results = manager.run_blocks(
+                    shuffle_sensitive_program, blocks, 1, np.array([-1.0])
+                )
         assert [r.output[0] for r in results] == [float(i) for i in range(8)]
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "pool"])
+    @pytest.mark.parametrize("backend", ["serial", "pool"])
     def test_all_blocks_failed_raises_on_every_backend(self, backend):
         with _manager_for(backend) as manager:
             with pytest.raises(ComputationError):
                 manager.run_blocks(always_fails_program, BLOCKS, 1, np.array([0.0]))
 
-    @pytest.mark.parametrize("backend", ["thread", "pool"])
+    @pytest.mark.parametrize("backend", ["pool"])
     def test_chunked_dispatch_matches_serial(self, backend):
         serial = ComputationManager()
         expected = serial.run_blocks(mean_program, BLOCKS, 1, np.array([0.0]))
-        with _manager_for(backend, batch_size=2) as manager:
-            results = manager.run_blocks(mean_program, BLOCKS, 1, np.array([0.0]))
+        with PoolChamberBackend(workers=2, batch_size=2) as pool:
+            with _manager_for(backend, pool=pool) as manager:
+                results = manager.run_blocks(
+                    mean_program, BLOCKS, 1, np.array([0.0])
+                )
         assert [r.output[0] for r in results] == [r.output[0] for r in expected]

@@ -28,7 +28,7 @@ EPSILON = 0.5
 BLOCK_SIZE = 50
 NUM_RECORDS = 1_000
 
-BACKENDS = [None, "thread", "pool", "vectorized", "remote"]
+BACKENDS = ["serial", "pool", "vectorized", "remote"]
 
 
 def _values() -> np.ndarray:
@@ -60,9 +60,7 @@ def _runtime(backend, answer_cache_size=None) -> GuptRuntime:
 
 
 class TestAnswerCacheMatrix:
-    @pytest.mark.parametrize(
-        "backend", BACKENDS, ids=[b or "serial" for b in BACKENDS]
-    )
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_disabled_cold_warm_release_identical_bits(self, backend):
         with _runtime(backend) as plain:
             disabled, _ = _release(plain)

@@ -304,6 +304,38 @@ class TestTimeoutsAndCancellation:
         assert "0.5" in response.error
         assert response.value == ()  # the release never reaches the caller
 
+    def test_waiting_on_overrunning_query_blocks_instead_of_spinning(self):
+        """Past a running query's deadline, ``result`` honours its own
+        wait timeout and blocks on the worker rather than polling."""
+        started = threading.Event()
+        gate = threading.Event()
+
+        def overrun(request):
+            started.set()
+            gate.wait(5.0)
+            return _ok(request)
+
+        release = threading.Timer(0.4, gate.set)
+        try:
+            with QueryScheduler(
+                workers=1, query_timeout=0.05, metrics=MetricsRegistry()
+            ) as scheduler:
+                handle = scheduler.submit(overrun, _request())
+                assert started.wait(5.0)
+                time.sleep(0.1)  # past the deadline, still running
+                release.start()
+                cpu = time.thread_time()
+                assert scheduler.result(handle, timeout=0.0) is None
+                assert time.thread_time() - cpu < 0.05
+                cpu = time.thread_time()
+                response = scheduler.result(handle)
+                assert time.thread_time() - cpu < 0.05
+        finally:
+            release.cancel()
+            gate.set()
+        assert response.code == "timeout"
+        assert "timed out while running" in response.error
+
     def test_cancel_queued_query(self):
         gate = threading.Event()
 

@@ -42,7 +42,7 @@ def wire_body(seed: int, program: str = "mean", **extra) -> dict:
     )
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "pool", "vectorized"])
+@pytest.mark.parametrize("backend", ["serial", "pool", "vectorized"])
 def test_http_matches_in_process_execute(backend):
     service = make_service(backend)
     server = GuptHttpServer(service, admin_token=ADMIN)
@@ -101,7 +101,7 @@ def test_backends_agree_over_the_wire():
     """The released value for one seed is identical whichever backend
     serves it — the PR 5 cross-backend guarantee holds through HTTP."""
     released: dict[str, tuple] = {}
-    for backend in ("serial", "thread", "pool", "vectorized"):
+    for backend in ("serial", "pool", "vectorized"):
         service = make_service(backend)
         server = GuptHttpServer(service, admin_token=ADMIN)
         host, port = server.start()

@@ -3,7 +3,7 @@
 The shard protocol's core contract is that sharding is *execution
 geometry*, not a statistical change: for a fixed logical shard count
 ``S`` (a public plan parameter, like block size) every backend —
-serial, thread, pool, vectorized, remote over any number of shard
+serial, pool, vectorized, remote over any number of shard
 nodes — releases bit-for-bit identical values under the same seed.
 These tests pin that matrix, the shard-major combine protocol
 underneath it, the degrade paths (timing defense, unpicklable programs,
@@ -32,6 +32,7 @@ from repro.exceptions import ComputationError
 from repro.observability import MetricsRegistry
 from repro.runtime.computation_manager import ComputationManager
 from repro.runtime.remote import RemoteShardBackend, local_node_cluster
+from repro.runtime.sandbox import InProcessChamber
 from repro.runtime.shard import ShardQuerySpec
 from repro.runtime.timing import TimingDefense
 from tests.test_blocks import plan_digest
@@ -105,10 +106,9 @@ def _release(
 
 class TestDeterminismMatrix:
     def test_every_backend_agrees_at_fixed_shards(self):
-        """serial/thread/pool/vectorized/remote: same bits at S=4."""
+        """serial/pool/vectorized/remote: same bits at S=4."""
         releases = {
             "serial": _release(backend="serial", shards=4),
-            "thread": _release(backend="thread", workers=2, shards=4),
             "pool": _release(backend="pool", workers=2, shards=4),
             "vectorized": _release(backend="vectorized", shards=4),
             "remote-N1": _release(backend="remote", nodes=1, shards=4),
@@ -337,8 +337,10 @@ class TestDegrades:
     def test_timing_defense_degrades_bit_compatibly(self):
         metrics = MetricsRegistry()
         guarded = ComputationManager(
+            chamber=InProcessChamber(
+                timing=TimingDefense(cycle_budget=30.0, pad=False)
+            ),
             backend="remote", shards=3, max_workers=2,
-            timing=TimingDefense(cycle_budget=30.0, pad=False),
             metrics=metrics,
         )
         remote = _release(computation=guarded, metrics=metrics)

@@ -3,7 +3,7 @@
 Three layers: the batch primitives (stacking, batch execution, fallback
 substitution), the computation manager's backend selection with its
 counted fallback hierarchy, and the end-to-end guarantees — bit-identical
-releases across the full serial/thread/pool/vectorized matrix for the
+releases across the full serial/pool/vectorized matrix for the
 same seeded request, and release-safe telemetry.
 """
 
@@ -25,6 +25,7 @@ from repro.estimators.statistics import (
 from repro.exceptions import ComputationError
 from repro.observability import MetricsRegistry
 from repro.runtime.computation_manager import BACKENDS, ComputationManager
+from repro.runtime.sandbox import InProcessChamber
 from repro.runtime.service import ANALYST, OWNER, GuptService, QueryRequest
 from repro.runtime.timing import TimingDefense
 from repro.runtime.vectorized import (
@@ -181,9 +182,9 @@ class TestManagerBackend:
     def test_fallback_timing_defense(self):
         registry = MetricsRegistry()
         manager = ComputationManager(
+            chamber=InProcessChamber(timing=TimingDefense(cycle_budget=5.0)),
             backend="vectorized",
             metrics=registry,
-            timing=TimingDefense(cycle_budget=5.0),
         )
         results = manager.run_blocks(Mean(), BLOCKS, 1, FALLBACK)
         assert [r.output[0] for r in results] == [float(i) for i in range(6)]
@@ -382,7 +383,6 @@ class TestDeterminismMatrix:
         released = {b: self._run(b, Mean()) for b in BACKENDS}
         assert (
             released["serial"]
-            == released["thread"]
             == released["pool"]
             == released["vectorized"]
         )

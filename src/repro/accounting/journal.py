@@ -28,17 +28,30 @@ startup).
 
 Write-ahead discipline
 ----------------------
-Appends are flushed and ``fsync``'d before the in-memory state they
-describe becomes observable in the conservative direction:
+Every append is written and flushed to the OS before the in-memory state
+it describes becomes observable in the conservative direction, so a
+*process* crash never loses a record.  Only the records that gate a
+release or a registration are also ``fsync``'d before :meth:`append`
+returns — ``register``, ``reserve``, ``retire`` and ``recovery``:
 
 * a *reserve* is journaled after the in-memory hold succeeds but before
   the reservation is handed to the query — a journal failure releases
   the hold and refuses the query, so no query ever runs without a
   durable trace;
 * a *commit* is journaled **before** the in-memory spend — a crash
-  between the two leaves a durable commit that recovery honors;
+  between the two leaves a commit that recovery honors;
 * a *rollback* is journaled before the hold is released — a failure
   leaves the hold in place (conservative: never resurrect).
+
+``commit``, ``rollback`` and ``replay`` records skip their own fsync:
+the next fsync'd record (or :meth:`BudgetJournal.close`) makes them
+durable, because the file is append-only.  A power loss before then can
+drop them, and that is safe.  A lost commit or rollback leaves its
+reserve unsettled, which recovery resolves as spent: a commit's epsilon
+is charged all the same, and a rollback's is wasted rather than minted.
+A freed hold can fund a new query only through that query's own
+fsync'd reserve, which lands after the rollback.  A lost replay loses a
+zero-epsilon audit entry and no budget.
 
 Recovery
 --------
@@ -101,6 +114,9 @@ RECOVERY = "recovery"
 REPLAY = "replay"
 
 _KINDS = frozenset({REGISTER, RESERVE, COMMIT, ROLLBACK, RETIRE, RECOVERY, REPLAY})
+#: Records fsync'd before ``append`` returns: the ones that gate a
+#: release or a registration.  The others ride on the next fsync.
+_SYNCED_KINDS = frozenset({REGISTER, RESERVE, RETIRE, RECOVERY})
 
 #: Ledger detail attached to conservatively resolved reservations.
 CONSERVATIVE_DETAIL = "resolved conservatively after crash (no terminal record)"
@@ -117,11 +133,16 @@ def journal_path(state_dir: str) -> str:
 class BudgetJournal:
     """Append-only writer for one journal file.
 
-    Every :meth:`append` is flushed and ``fsync``'d before it returns;
-    the named failpoints in the write sequence (``journal.append.pre``,
-    ``journal.append.torn``, ``journal.append.pre_fsync``,
-    ``journal.append.post``) are the instrument the crash-matrix tests
-    use to kill the process at each durability-critical instruction.
+    Every :meth:`append` is flushed to the OS before it returns, and a
+    ``register``, ``reserve``, ``retire`` or ``recovery`` record is also
+    ``fsync``'d, which makes every earlier record durable with it (see
+    the module's write-ahead discipline).  :meth:`close` fsyncs whatever
+    is still unsynced.  The ``journal.fsyncs`` counter counts each fsync
+    the writer issues, and nothing else.  The named failpoints in the
+    write sequence (``journal.append.pre``, ``journal.append.torn``,
+    ``journal.append.pre_fsync``, ``journal.append.post``) are the
+    instrument the crash-matrix tests use to kill the process at each
+    durability-critical instruction.
     """
 
     def __init__(
@@ -134,6 +155,8 @@ class BudgetJournal:
         self._metrics = metrics
         self._fsync = fsync
         self._lock = threading.Lock()
+        # Records flushed to the OS but not yet fsync'd.
+        self._unsynced = False
         directory = os.path.dirname(path) or "."
         os.makedirs(directory, exist_ok=True)
         try:
@@ -142,8 +165,9 @@ class BudgetJournal:
                 self._file.write(MAGIC)
                 self._file.flush()
                 if fsync:
-                    os.fsync(self._file.fileno())
-                    self._fsync_directory(directory)
+                    self._sync()
+                    if self._fsync_directory(directory):
+                        self._registry().counter("journal.fsyncs").inc()
         except OSError as exc:
             raise JournalError(f"cannot open journal {path!r}: {exc}") from exc
 
@@ -154,18 +178,25 @@ class BudgetJournal:
     def _registry(self) -> MetricsRegistry:
         return self._metrics or get_registry()
 
+    def _sync(self) -> None:
+        """fsync the journal file and count it (lock held or unshared)."""
+        os.fsync(self._file.fileno())
+        self._unsynced = False
+        self._registry().counter("journal.fsyncs").inc()
+
     @staticmethod
-    def _fsync_directory(directory: str) -> None:
+    def _fsync_directory(directory: str) -> bool:
         # Make the journal's directory entry itself durable; without
         # this a crash can lose the *file*, not just its tail.
         try:
             fd = os.open(directory, os.O_RDONLY)
         except OSError:  # pragma: no cover - platform without dir-open
-            return
+            return False
         try:
             os.fsync(fd)
         finally:
             os.close(fd)
+        return True
 
     def append(
         self,
@@ -176,7 +207,7 @@ class BudgetJournal:
         query: str = "",
         detail: str = "",
     ) -> None:
-        """Durably record one budget lifecycle event."""
+        """Record one budget lifecycle event (fsync'd if it gates one)."""
         if kind not in _KINDS:
             raise JournalError(f"unknown journal record kind {kind!r}")
         record: dict[str, object] = {"kind": kind, "dataset": dataset}
@@ -207,32 +238,31 @@ class BudgetJournal:
                 else:
                     self._file.write(frame)
                 self._file.flush()
+                self._unsynced = True
                 failpoints.hit("journal.append.pre_fsync")
-                if self._fsync:
-                    os.fsync(self._file.fileno())
+                if self._fsync and kind in _SYNCED_KINDS:
+                    self._sync()
                 failpoints.hit("journal.append.post")
             except (OSError, ValueError) as exc:
                 raise JournalError(
                     f"journal append failed on {self._path!r}: {exc}"
                 ) from exc
         registry.counter("journal.records_written", kind=kind).inc()
-        if self._fsync:
-            registry.counter("journal.fsyncs").inc()
 
     def close(self) -> None:
-        """Flush and close the journal file."""
+        """Flush, fsync any unsynced records, and close the journal file."""
         with self._lock:
             if not self._file.closed:
                 self._file.flush()
-                if self._fsync:
-                    os.fsync(self._file.fileno())
+                if self._fsync and self._unsynced:
+                    self._sync()
                 self._file.close()
 
     def abandon(self) -> None:
         """Drop the file handle without a final fsync (crash simulation).
 
         In-process property tests use this to model a process dying at a
-        quiescent point: every append already flushed and fsync'd itself,
+        quiescent point: every append already flushed itself to the OS,
         so closing the handle loses nothing — but the writer can never
         touch the file again, and no clean-shutdown record is written.
         Mid-append deaths are the crash-matrix subprocess tests' job.
@@ -451,14 +481,15 @@ def recover(path: str, metrics: Optional[MetricsRegistry] = None) -> ReplayResul
 
     This is the startup path: after it returns, the file ends on a
     record boundary and the result carries the conservative recovered
-    state.  Torn-tail truncation and conservative resolutions are
-    reported through the ``journal.*`` metrics.
+    state.  Torn-tail truncation (and its fsync) and conservative
+    resolutions are reported through the ``journal.*`` metrics.
     """
     registry = metrics or get_registry()
     scanned = scan(path)
     if scanned.torn:
         _truncate(path, scanned.valid_bytes)
         registry.counter("journal.torn_tail_truncations").inc()
+        registry.counter("journal.fsyncs").inc()
     result = replay(scanned.records)
     result.torn = scanned.torn
     result.truncated_bytes = scanned.truncated_bytes

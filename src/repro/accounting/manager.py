@@ -18,11 +18,12 @@ exactly the interleaving the paper's §5.2 budget-attack defense must
 exclude in a hosted deployment.
 
 Spending can also be *durable*.  A manager created with ``state_dir=``
-writes every budget lifecycle event to an fsync'd write-ahead journal
-(:mod:`repro.accounting.journal`) and, on startup, replays whatever an
-earlier process left behind: committed spends are restored bit-for-bit,
-and reservations that were in flight at the crash are resolved
-*conservatively* as spent — a restart can waste epsilon, never mint it.
+writes every budget lifecycle event to a write-ahead journal
+(:mod:`repro.accounting.journal`; one fsync per charged query) and, on
+startup, replays whatever an earlier process left behind: committed
+spends are restored bit-for-bit, and reservations that were in flight at
+the crash are resolved *conservatively* as spent — a restart can waste
+epsilon, never mint it.
 Without ``state_dir`` the manager is purely in-memory, as before.
 """
 
@@ -255,11 +256,12 @@ class RegisteredDataset:
 
     # -- reservation callbacks (invoked under the reservation's lock) ----
     def _commit_reservation(self, reservation: BudgetReservation, detail: str) -> None:
-        # Write-ahead: the commit record is durable before the in-memory
-        # spend.  A crash between the two leaves a durable commit that
-        # recovery honors; a journal *failure* leaves the hold pending,
-        # which recovery resolves conservatively as spent — either way
-        # the recovered remaining budget is never above the truth.
+        # Write-ahead: the commit record is written before the in-memory
+        # spend.  A crash between the two leaves a commit that recovery
+        # honors; a journal *failure* — or a power loss before the next
+        # fsync — leaves the hold pending, which recovery resolves
+        # conservatively as spent: either way the recovered remaining
+        # budget is never above the truth.
         if self.journal is not None:
             self.journal.append(
                 COMMIT, self.name,
@@ -304,7 +306,7 @@ class DatasetManager:
         the process default.
     state_dir:
         Directory holding the durable budget journal.  When given, every
-        budget lifecycle event is journaled (fsync'd write-ahead), and a
+        budget lifecycle event is journaled write-ahead, and a
         journal left behind by an earlier process is recovered on
         construction: re-registering a recovered dataset name (with the
         same total budget) adopts its recovered spends bit-for-bit, and

@@ -53,10 +53,12 @@ and the vectorized and remote fast paths degrade whenever it is active.
 
 The manager is also an instrumentation point (see
 :mod:`repro.observability`): per-block latency, success/fallback/kill
-counts and the pool width.  Recorded latency is the wall-clock of the
-whole chamber call *including* any timing-defense padding, so whenever
-the defense is on, the histogram observes the padded, data-independent
-duration — never the program's raw compute time.
+counts and ``blocks.pool_width``, the fan-out the last query's blocks
+actually ran at (pool workers, shard nodes, or 1 on the calling thread,
+which includes every degrade path).  Recorded latency is the wall-clock
+of the whole chamber call *including* any timing-defense padding, so
+whenever the defense is on, the histogram observes the padded,
+data-independent duration — never the program's raw compute time.
 """
 
 from __future__ import annotations
@@ -335,7 +337,6 @@ class ComputationManager:
             if stacked is None and not blocks:
                 raise ComputationError("no blocks to execute")
             metrics = self._metrics or get_registry()
-            metrics.gauge("blocks.pool_width").set(self._max_workers)
             batch = self._try_batch(
                 metrics, program, blocks, output_dimension, fallback, stacked
             )
@@ -438,7 +439,7 @@ class ComputationManager:
             clamp_lo=clamp_lo,
             clamp_hi=clamp_hi,
         )
-        metrics.gauge("blocks.pool_width").set(self._max_workers)
+        metrics.gauge("blocks.pool_width").set(self._sharded.nodes)
         summary, batch = self._sharded.run_sharded(program_bytes, values, spec)
         succeeded = int(batch.succeeded.sum())
         self._count_outcomes(metrics, batch.num_blocks, succeeded, killed=0)
@@ -458,8 +459,6 @@ class ComputationManager:
             raise ComputationError("no blocks to execute")
 
         metrics = self._metrics or get_registry()
-        metrics.gauge("blocks.pool_width").set(self._max_workers)
-
         batch = None
         if try_batch and self._backend == "vectorized":
             batch = self._try_batch(
@@ -536,6 +535,7 @@ class ComputationManager:
         if stacked is None:
             return degrade("ragged_blocks")
 
+        metrics.gauge("blocks.pool_width").set(1)
         started = time.perf_counter()
         batch = run_batch_blocks(program, stacked, output_dimension, fallback)
         if batch is None:
@@ -554,6 +554,8 @@ class ComputationManager:
     def _run_chambers(
         self, metrics, program, blocks, output_dimension, fallback
     ) -> list[BlockExecution]:
+        # Blocks run one after another on the calling thread.
+        metrics.gauge("blocks.pool_width").set(1)
         # Latencies batch locally and flush in one histogram update, so
         # the per-block cost is a clock read and a list append.
         durations: list[float] = []
@@ -580,6 +582,7 @@ class ComputationManager:
             return self._run_chambers(
                 metrics, program, blocks, output_dimension, fallback
             )
+        metrics.gauge("blocks.pool_width").set(self._pool.workers)
         return self._pool.run_blocks(
             program,
             blocks,

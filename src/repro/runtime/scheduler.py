@@ -28,7 +28,10 @@ serving layer that makes that safe and fair:
   responses and only waits for the running ones.
 
 Every admitted query gets exactly one terminal response, retrievable
-any number of times through its :class:`QueryHandle`.
+any number of times through its :class:`QueryHandle`.  Waiters that
+cannot block a thread (the HTTP tier's event loop) register a one-shot
+callback with :meth:`QueryScheduler.watch` instead of polling; it fires
+on the ticket's next state change, outside the scheduler lock.
 
 Telemetry (all release-safe: queue geometry, counts and wall-clock,
 never query values): ``scheduler.queue_depth``, ``scheduler.running``,
@@ -79,7 +82,7 @@ class _Ticket:
 
     __slots__ = (
         "handle", "request", "runner", "deadline", "state",
-        "response", "done", "submitted_at", "started_at",
+        "response", "done", "submitted_at", "started_at", "watchers",
     )
 
     def __init__(self, handle, request, runner, deadline):
@@ -92,6 +95,7 @@ class _Ticket:
         self.done = threading.Event()
         self.submitted_at = time.perf_counter()
         self.started_at: float | None = None
+        self.watchers: list[Callable[[], None]] = []
 
 
 class QueryScheduler:
@@ -145,6 +149,9 @@ class QueryScheduler:
         self._busy_datasets: set[str] = set()
         self._inflight: dict[str, int] = {}
         self._tickets: dict[int, _Ticket] = {}
+        # Watch callbacks whose ticket changed state, queued under the
+        # lock and fired by whichever thread releases it next.
+        self._fired: deque[Callable[[], None]] = deque()
         self._ids = itertools.count()
         self._queued_total = 0
         self._running_total = 0
@@ -287,6 +294,41 @@ class QueryScheduler:
             if wait_deadline is not None and time.perf_counter() >= wait_deadline:
                 return None
 
+    def watch(self, handle: QueryHandle, callback: Callable[[], None]) -> str:
+        """Call ``callback()`` once, on the query's next state change.
+
+        Returns the state at registration; the callback fires when the
+        ticket moves past it (queued → running, or → done) and is
+        dropped once it fires.  It runs on a scheduler or caller thread
+        that does not hold the scheduler lock, so it must be quick and
+        must not raise.  A done ticket never changes again, so its
+        callback is not registered.
+        """
+        ticket = self._ticket(handle)
+        with self._lock:
+            if ticket.state != _DONE:
+                ticket.watchers.append(callback)
+            return ticket.state
+
+    def unwatch(self, handle: QueryHandle, callback: Callable[[], None]) -> None:
+        """Drop a :meth:`watch` callback that has not fired (else a no-op)."""
+        ticket = self._ticket(handle)
+        with self._lock:
+            if callback in ticket.watchers:
+                ticket.watchers.remove(callback)
+
+    def expires_in(self, handle: QueryHandle) -> float | None:
+        """Seconds until a still-queued query times out (0.0 once due).
+
+        ``None`` without a ``query_timeout`` or once the query left the
+        queue.  Nothing expires a queued query on its own; a waiter that
+        reaches this deadline settles it with ``result(handle, 0)``.
+        """
+        ticket = self._ticket(handle)
+        if ticket.deadline is None or ticket.state != _QUEUED:
+            return None
+        return max(0.0, ticket.deadline - time.perf_counter())
+
     def cancel(self, handle: QueryHandle) -> bool:
         """Cancel a still-queued query; returns whether it was cancelled.
 
@@ -309,6 +351,7 @@ class QueryScheduler:
                 "cancelled",
                 registry,
             )
+        self._fire_watchers()
         return True
 
     def drain(self, timeout: float | None = None) -> bool:
@@ -353,6 +396,7 @@ class QueryScheduler:
                                     registry,
                                 )
             self._work.notify_all()
+        self._fire_watchers()
         for thread in self._threads:
             thread.join()
         registry.gauge("scheduler.queue_depth").set(self._queued_total)
@@ -390,13 +434,36 @@ class QueryScheduler:
         """
         return self._ticket(handle).state
 
+    def _set_state(self, ticket: _Ticket, state: str) -> None:
+        """Move a ticket to ``state`` and queue its watchers (lock held).
+
+        Settling a ticket calls this last, after its response and
+        telemetry: a ``result`` waiter or a watcher on another thread may
+        run as soon as ``done`` is set, and ``done`` is set before
+        ``state`` so a lock-free reader that sees "done" can always
+        collect the response.
+        """
+        if state == _DONE:
+            ticket.done.set()
+        ticket.state = state
+        self._fired.extend(ticket.watchers)
+        ticket.watchers.clear()
+
+    def _fire_watchers(self) -> None:
+        """Run queued watch callbacks (lock *not* held; any thread)."""
+        while self._fired:
+            try:
+                callback = self._fired.popleft()
+            except IndexError:  # another thread took the last one
+                return
+            callback()
+
     def _reject(self, ticket: _Ticket, reason: str, code: str, registry) -> None:
         """Settle a submission that was never admitted (lock held)."""
         registry.counter("scheduler.admission_rejections").inc()
         registry.counter("scheduler.completed", outcome="rejected").inc()
-        ticket.state = _DONE
         ticket.response = self._response(ok=False, error=reason, code=code)
-        ticket.done.set()
+        self._set_state(ticket, _DONE)
 
     def _finalize_queued(
         self, ticket: _Ticket, response, outcome: str, registry
@@ -406,14 +473,13 @@ class QueryScheduler:
         The ticket stays in its dataset deque — dispatch skips settled
         tickets — so cancellation and expiry are O(1).
         """
-        ticket.state = _DONE
         ticket.response = response
         self._queued_total -= 1
         principal = ticket.handle.principal
         self._inflight[principal] = self._inflight.get(principal, 1) - 1
         registry.counter("scheduler.completed", outcome=outcome).inc()
         registry.gauge("scheduler.queue_depth").set(self._queued_total)
-        ticket.done.set()
+        self._set_state(ticket, _DONE)
         self._idle.notify_all()
 
     def _timed_out_before_dispatch(self, registry):
@@ -435,6 +501,7 @@ class QueryScheduler:
                 ticket, self._timed_out_before_dispatch(registry),
                 "timeout", registry,
             )
+        self._fire_watchers()
 
     def _next_ticket(self) -> _Ticket | None:
         """Pop the next dispatchable ticket, round-robin (lock held)."""
@@ -482,7 +549,6 @@ class QueryScheduler:
     ) -> None:
         """Resolve one dispatched ticket and free its dataset's slot."""
         with self._work:
-            ticket.state = _DONE
             ticket.response = response
             self._running_total -= 1
             principal = ticket.handle.principal
@@ -494,26 +560,32 @@ class QueryScheduler:
             registry.counter("scheduler.completed", outcome=outcome).inc()
             registry.gauge("scheduler.running").set(self._running_total)
             registry.histogram("scheduler.run_seconds").observe(elapsed)
-            ticket.done.set()
+            self._set_state(ticket, _DONE)
             self._work.notify_all()
             self._idle.notify_all()
+        self._fire_watchers()
 
     def _worker(self) -> None:
         registry = self._registry()
         while True:
             with self._work:
                 ticket = self._next_ticket()
-                while ticket is None:
+                # _next_ticket may expire queued tickets: leave the lock
+                # to fire their watchers.
+                while ticket is None and not self._fired:
                     if self._closing and self._queued_total == 0:
                         return
                     self._work.wait(0.05)
                     ticket = self._next_ticket()
-                ticket.state = _RUNNING
-                self._queued_total -= 1
-                self._running_total += 1
-                registry.gauge("scheduler.queue_depth").set(self._queued_total)
-                registry.gauge("scheduler.running").set(self._running_total)
-            self._dispatch_one(ticket, registry)
+                if ticket is not None:
+                    self._set_state(ticket, _RUNNING)
+                    self._queued_total -= 1
+                    self._running_total += 1
+                    registry.gauge("scheduler.queue_depth").set(self._queued_total)
+                    registry.gauge("scheduler.running").set(self._running_total)
+            self._fire_watchers()
+            if ticket is not None:
+                self._dispatch_one(ticket, registry)
 
     def _dispatch_one(self, ticket: _Ticket, registry) -> None:
         """Run one claimed ticket to its terminal response."""

@@ -237,7 +237,7 @@ class GuptService:
     ):
         self._metrics = metrics
         # With state_dir the accounting layer is durable: every budget
-        # event is journaled (fsync'd write-ahead) and a journal left by
+        # event is journaled write-ahead and a journal left by
         # a crashed predecessor is recovered conservatively before any
         # query can run — see repro.accounting.journal.
         self._datasets = DatasetManager(metrics=metrics, state_dir=state_dir)

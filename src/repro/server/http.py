@@ -19,12 +19,15 @@ Design points:
   429 + ``Retry-After`` (503 during shutdown) — the server never
   buffers beyond the scheduler's own queue, so memory under overload
   is bounded by ``queue_depth`` regardless of client count.
-* **Polling is non-blocking.**  ``GET /v1/queries/{id}?timeout=S``
+* **Long-polls are woken, not polled.**  ``GET /v1/queries/{id}?timeout=S``
   mirrors :meth:`GuptService.result`'s pinned semantics: an unresolved
-  poll answers ``202 {"status": "pending"}`` (never an error), and the
-  wait loop runs on the event loop with cheap non-blocking
-  ``result(timeout=0)`` checks, so hundreds of concurrent long-polls
-  hold no threads.
+  poll answers ``202 {"status": "pending"}`` (never an error).  The
+  wait is an asyncio future that the scheduler's
+  :meth:`~repro.runtime.scheduler.QueryScheduler.watch` callback sets
+  through ``loop.call_soon_threadsafe`` on each state change, so
+  hundreds of concurrent long-polls hold no threads, and an answer
+  leaves as soon as its query settles.  A queued query still times out
+  at its own deadline: no wait outlasts it.
 * **SSE delivers progress and results.**  ``GET /v1/queries/{id}/events``
   streams ``status`` events on every lifecycle transition
   (queued → running) and one terminal ``result`` event, then closes.
@@ -71,8 +74,8 @@ _MAX_BODY_BYTES = 64 * 1024 * 1024
 _MAX_HEADER_BYTES = 64 * 1024
 #: Ceiling on one poll's long-poll wait; clients re-poll for longer waits.
 _MAX_POLL_TIMEOUT = 30.0
-#: Sleep between non-blocking result checks while a request waits.
-_POLL_INTERVAL = 0.002
+#: Seconds of SSE silence before a ``: keepalive`` comment.
+_SSE_KEEPALIVE = 1.0
 
 _REASONS = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 401: "Unauthorized",
@@ -82,6 +85,19 @@ _REASONS = {
     500: "Internal Server Error", 503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+
+def _resolve(future: asyncio.Future) -> None:
+    if not future.done():
+        future.set_result(None)
+
+
+def _resolve_threadsafe(future: asyncio.Future) -> None:
+    """Resolve ``future`` from any thread; a no-op once its loop closed."""
+    try:
+        future.get_loop().call_soon_threadsafe(_resolve, future)
+    except RuntimeError:  # the loop is closed: nobody waits any more
+        pass
 
 
 class _HttpError(Exception):
@@ -681,15 +697,52 @@ class GuptHttpServer:
             ) from None
         return max(0.0, min(requested, _MAX_POLL_TIMEOUT))
 
+    async def _next_state(
+        self, handle: QueryHandle, seen: str, timeout: float, done_only: bool = False
+    ) -> str:
+        """Wait up to ``timeout`` s for the query to leave state ``seen``.
+
+        Returns the state it is in then; with ``done_only`` the wait
+        lasts until the query is done.  The scheduler's watch callback
+        wakes the wait from its own thread, so nothing polls.  A queued
+        query whose deadline comes first is expired here, as
+        :meth:`GuptService.result` would expire it.
+        """
+        scheduler = self._service.scheduler
+        loop = asyncio.get_running_loop()
+        changed = loop.create_future()
+
+        def wake() -> None:
+            # A done-only waiter re-arms on the scheduler thread at the
+            # running transition, so the event loop wakes once per query.
+            if done_only and scheduler.watch(handle, wake) != "done":
+                return
+            _resolve_threadsafe(changed)
+
+        try:
+            if scheduler.watch(handle, wake) == seen:
+                expires_in = scheduler.expires_in(handle)
+                wait = timeout if expires_in is None else min(timeout, expires_in)
+                timer = loop.call_later(wait, _resolve, changed)
+                await changed
+                timer.cancel()
+        finally:
+            scheduler.unwatch(handle, wake)
+        if scheduler.expires_in(handle) == 0.0:
+            # Its deadline passed while queued: expire it.
+            self._service.result(handle, timeout=0.0)
+        return scheduler.state(handle)
+
     async def _await_result(self, handle: QueryHandle, timeout: float):
-        """Event-loop-friendly wait: non-blocking checks + async sleeps."""
+        """The terminal response, or ``None`` if ``timeout`` s pass first."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
-        while True:
-            response = self._service.result(handle, timeout=0.0)
-            if response is not None or loop.time() >= deadline:
-                return response
-            await asyncio.sleep(_POLL_INTERVAL)
+        state = self._service.scheduler.state(handle)
+        while state != "done" and loop.time() < deadline:
+            state = await self._next_state(
+                handle, state, deadline - loop.time(), done_only=True
+            )
+        return self._service.result(handle, timeout=0.0)
 
     def _terminal_response(self, response, handle: QueryHandle) -> _Response:
         wire = protocol.response_to_wire(response)
@@ -757,22 +810,25 @@ class GuptHttpServer:
         last_beat = loop.time()
         try:
             while True:
-                response = self._service.result(handle, timeout=0.0)
-                if response is not None:
-                    wire = protocol.response_to_wire(response)
+                state = self._service.scheduler.state(handle)
+                if state == "done":
+                    wire = protocol.response_to_wire(
+                        self._service.result(handle, timeout=0.0)
+                    )
                     wire["query_id"] = handle.id
                     await emit("result", wire)
                     break
-                state = self._service.scheduler.state(handle)
                 if state != last_state:
                     await emit("status", {"query_id": handle.id, "state": state})
                     last_state = state
                     last_beat = loop.time()
-                elif loop.time() - last_beat >= 1.0:
+                elif loop.time() - last_beat >= _SSE_KEEPALIVE:
                     writer.write(b": keepalive\n\n")
                     await writer.drain()
                     last_beat = loop.time()
-                await asyncio.sleep(_POLL_INTERVAL)
+                await self._next_state(
+                    handle, state, max(0.0, last_beat + _SSE_KEEPALIVE - loop.time())
+                )
         except (ConnectionError, OSError):  # pragma: no cover - client gone
             pass
         return None  # connection closes (Connection: close)

@@ -100,8 +100,9 @@ class StreamingGupt:
 
     With ``state_dir=`` the stream journals every per-epoch budget
     lifecycle event — epoch registration, query reserve/commit/rollback
-    and the *retire* of an epoch aging out — to an fsync'd write-ahead
-    journal (``stream.wal``), the same format as the dataset manager's.
+    and the *retire* of an epoch aging out — to a write-ahead journal
+    (``stream.wal``), the same format and fsync rule as the dataset
+    manager's.
     The journal is an audit trail of budget arithmetic only: stream
     *records* are never journaled and a crashed stream's data is gone,
     but replaying the journal proves exactly which epochs spent what and

@@ -177,3 +177,75 @@ class TestBackendSelection:
                     mean_program, BLOCKS, 1, np.array([0.0])
                 )
         assert [r.output[0] for r in results] == [r.output[0] for r in expected]
+
+
+class TestPoolWidth:
+    """``blocks.pool_width`` reports the fan-out that actually ran."""
+
+    @staticmethod
+    def _run_blocks(metrics, backend, program, pool=None):
+        with ComputationManager(
+            backend=backend, max_workers=4, metrics=metrics, pool=pool
+        ) as manager:
+            manager.run_blocks(program, BLOCKS, 1, np.array([0.0]))
+
+    @pytest.mark.parametrize(
+        "path, expected",
+        [
+            ("serial", 1),
+            ("pool", 2),
+            ("pool-unpicklable", 1),
+            ("vectorized", 1),
+            ("vectorized-degrade", 1),
+            ("remote", 2),
+        ],
+    )
+    def test_gauge_is_the_fan_out_of_each_path(self, path, expected):
+        from repro.accounting.manager import DatasetManager
+        from repro.core.gupt import GuptRuntime
+        from repro.core.range_estimation import TightRange
+        from repro.datasets.table import DataTable
+        from repro.estimators.statistics import Mean
+
+        metrics = MetricsRegistry()
+        if path == "serial":
+            self._run_blocks(metrics, "serial", mean_program)
+        elif path.startswith("pool"):
+            with PoolChamberBackend(workers=2) as pool:
+                program = (
+                    mean_program if path == "pool"
+                    else lambda block: float(np.mean(block))
+                )
+                self._run_blocks(metrics, "pool", program, pool=pool)
+        elif path.startswith("vectorized"):
+            program = Mean() if path == "vectorized" else mean_program
+            self._run_blocks(metrics, "vectorized", program)
+        else:
+            datasets = DatasetManager()
+            datasets.register(
+                "data",
+                DataTable(np.linspace(0.0, 100.0, 400).reshape(-1, 1)),
+                total_budget=1.0,
+            )
+            computation = ComputationManager(
+                backend="remote", max_workers=4, nodes=2, shards=4,
+                metrics=metrics,
+            )
+            with GuptRuntime(
+                datasets, computation_manager=computation, rng=1, metrics=metrics
+            ) as runtime:
+                runtime.run("data", Mean(), TightRange((0.0, 100.0)), epsilon=0.5)
+            computation.close()
+        # Each case really took the path it names.
+        ran = {
+            "pool-unpicklable": ("pool.unpicklable_fallbacks", {}),
+            "vectorized": ("vectorized.batches", {}),
+            "vectorized-degrade": (
+                "vectorized.fallbacks", {"reason": "no_batch_form"}
+            ),
+            "remote": ("remote.queries", {}),
+        }
+        if path in ran:
+            name, labels = ran[path]
+            assert metrics.counter(name, **labels).value == 1
+        assert metrics.gauge("blocks.pool_width").value == expected

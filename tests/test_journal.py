@@ -24,6 +24,7 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.accounting import journal as journal_module
 from repro.accounting.budget import PrivacyBudget
 from repro.accounting.journal import (
     COMMIT,
@@ -32,6 +33,7 @@ from repro.accounting.journal import (
     MAGIC,
     RECOVERY,
     REGISTER,
+    REPLAY,
     RESERVE,
     RETIRE,
     ROLLBACK,
@@ -430,6 +432,98 @@ class TestManagerJournaling:
         assert manager.journal is None
         manager.register("census", table(), total_budget=2.0).charge(0.5, "q")
         manager.close()
+
+
+# ----------------------------------------------------------------------
+# fsync discipline: one per charged query, settlements ride on the next
+# ----------------------------------------------------------------------
+class TestFsyncDiscipline:
+    @pytest.fixture
+    def fsync_calls(self, monkeypatch, path):
+        """Record the journal's length at every real ``os.fsync``."""
+        real_fsync = os.fsync
+        lengths: list[int] = []
+
+        def spy(fd):
+            real_fsync(fd)
+            lengths.append(os.path.getsize(path))
+
+        monkeypatch.setattr(journal_module.os, "fsync", spy)
+        return lengths
+
+    def test_charged_query_fsyncs_once_and_replay_never(
+        self, state_dir, fsync_calls
+    ):
+        from repro.core.gupt import GuptRuntime
+
+        registry = MetricsRegistry()
+        runtime = GuptRuntime(
+            metrics=registry, rng=3, state_dir=state_dir, answer_cache_size=4
+        )
+        runtime.dataset_manager.register("census", table(), total_budget=4.0)
+        counter = registry.counter("journal.fsyncs")
+
+        def run():
+            return runtime.run(
+                "census", Mean(), TightRange((0.0, 10.0)), epsilon=0.5, rng=11
+            )
+
+        def step(action):
+            counted, real = counter.value, len(fsync_calls)
+            outcome = action()
+            # The counter moves with real fsyncs, one for one.
+            assert counter.value - counted == len(fsync_calls) - real
+            return outcome, len(fsync_calls) - real
+
+        charged, added = step(run)
+        assert not charged.cached and added == 1  # the reserve; not the commit
+        replayed, added = step(run)
+        assert replayed.cached and added == 0
+        _, added = step(runtime.close)
+        assert added == 1  # the pending commit and replay records
+        kinds = [r["kind"] for r in scan(journal_path(state_dir)).records]
+        assert kinds == [REGISTER, RESERVE, COMMIT, REPLAY]
+
+    def test_close_without_pending_records_does_not_fsync(
+        self, state_dir, fsync_calls
+    ):
+        manager = DatasetManager(state_dir=state_dir)
+        manager.register("census", table(), total_budget=2.0)
+        synced = len(fsync_calls)
+        manager.close()
+        assert len(fsync_calls) == synced
+
+    @pytest.mark.parametrize("last", ["commit", "rollback"])
+    def test_power_loss_after_last_fsync_recovers_conservatively(
+        self, state_dir, path, fsync_calls, last
+    ):
+        manager = DatasetManager(state_dir=state_dir)
+        registered = manager.register("census", table(), total_budget=2.0)
+        queries = [("kept", 0.25, "commit"), ("returned", 0.5, "rollback")]
+        if last == "rollback":
+            queries.reverse()
+        for query, epsilon, settle in queries:
+            getattr(registered.reserve(epsilon, query), settle)()
+        manager.journal.abandon()  # the process dies without close()
+
+        # Power loss: the disk keeps only what the last fsync covered.
+        full = scan(path)
+        synced_bytes = fsync_calls[-1]
+        with open(path, "r+b") as handle:
+            handle.truncate(synced_bytes)
+        survived = len(scan(path).records)
+        lost = [r for r in full.records[survived:] if r["kind"] in (COMMIT, ROLLBACK)]
+
+        state = recover(path).datasets["census"]
+        assert state.spent >= 0.25  # never below the true spend
+        assert not state.pending
+        conservative = {
+            spend.query for spend in state.committed
+            if spend.detail == CONSERVATIVE_DETAIL
+        }
+        assert conservative == {record["query"] for record in lost}
+        lost_rollbacks = sum(r["epsilon"] for r in lost if r["kind"] == ROLLBACK)
+        assert state.spent == 0.25 + lost_rollbacks
 
 
 # ----------------------------------------------------------------------

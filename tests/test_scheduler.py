@@ -382,6 +382,65 @@ class TestTimeoutsAndCancellation:
             assert scheduler.result(handle).ok
 
 
+class TestWatch:
+    """One-shot state-change callbacks, the HTTP tier's wake-up."""
+
+    def test_callbacks_fire_once_per_change_outside_the_lock(self):
+        gate = threading.Event()
+
+        def blocked(request):
+            gate.wait(5.0)
+            return _ok(request)
+
+        with QueryScheduler(workers=1, metrics=MetricsRegistry()) as scheduler:
+            scheduler.submit(blocked, _request())
+            handle = scheduler.submit(_ok, _request())
+            seen: list[str] = []
+            settled = threading.Event()
+
+            def rewatch():
+                # watch takes the scheduler lock: a callback fired under
+                # it would deadlock right here.
+                state = scheduler.watch(handle, rewatch)
+                seen.append(state)
+                if state == "done":
+                    settled.set()
+
+            once: list[str] = []
+            dropped: list[str] = []
+            assert scheduler.watch(handle, rewatch) == "queued"
+            assert scheduler.watch(handle, lambda: once.append("fired")) == "queued"
+            unwatched = lambda: dropped.append("fired")  # noqa: E731
+            scheduler.watch(handle, unwatched)
+            scheduler.unwatch(handle, unwatched)
+            gate.set()
+            assert settled.wait(5.0)
+            assert seen == ["running", "done"]
+            assert once == ["fired"]  # dropped after its first change
+            assert dropped == []
+            # A settled ticket registers nothing and reports "done".
+            assert scheduler.watch(handle, lambda: dropped.append("late")) == "done"
+        assert dropped == []
+
+    def test_expires_in_tracks_only_queued_deadlines(self):
+        gate, started = threading.Event(), threading.Event()
+
+        def blocked(request):
+            started.set()
+            gate.wait(5.0)
+            return _ok(request)
+
+        with QueryScheduler(workers=1, query_timeout=5.0) as scheduler:
+            running = scheduler.submit(blocked, _request())
+            queued = scheduler.submit(_ok, _request())
+            assert started.wait(5.0)
+            assert scheduler.expires_in(running) is None
+            assert 0.0 < scheduler.expires_in(queued) <= 5.0
+            gate.set()
+        with QueryScheduler(workers=1) as scheduler:
+            assert scheduler.expires_in(scheduler.submit(_ok, _request())) is None
+
+
 class TestShutdown:
     def test_drain_settles_everything(self):
         registry = MetricsRegistry()

@@ -17,9 +17,12 @@ Three layers of golden tests:
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
+import http.client
 import json
 import math
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -43,7 +46,7 @@ from repro.exceptions import (
 from repro.runtime.service import GuptService, QueryResponse
 from repro.server import protocol
 from repro.server.client import Backpressure, GuptClient, ServerError
-from repro.server.http import GuptHttpServer
+from repro.server.http import GuptHttpServer, _resolve_threadsafe
 
 ADMIN = "test-admin-token"
 RANGE = [0.0, 100.0]
@@ -428,6 +431,53 @@ class TestPendingSemantics:
             assert final is not None
 
 
+def slow_queries(monkeypatch, seconds: float) -> list[float]:
+    """Make every query run ``seconds`` longer; returns settle times."""
+    settled: list[float] = []
+    run_request = GuptService._run_request
+
+    def slow_run_request(self, *args, **kwargs):
+        time.sleep(seconds)
+        response = run_request(self, *args, **kwargs)
+        settled.append(time.perf_counter())
+        return response
+
+    monkeypatch.setattr(GuptService, "_run_request", slow_run_request)
+    return settled
+
+
+class TestWakeups:
+    """Long-polls are woken by the scheduler's watch callback."""
+
+    def test_long_poll_answers_on_wakeup_not_by_polling(self, monkeypatch):
+        settled = slow_queries(monkeypatch, 0.3)
+        calls: list[int] = []
+        result = GuptService.result
+
+        def counting_result(self, handle, timeout=None):
+            calls.append(handle.id)
+            return result(self, handle, timeout=timeout)
+
+        monkeypatch.setattr(GuptService, "result", counting_result)
+        with server_stack() as (server, owner, analyst):
+            query_id = analyst.submit(query_body(epsilon=0.25))
+            calls.clear()
+            status, _, payload = analyst.raw_request(
+                "GET", f"/v1/queries/{query_id}?timeout=5"
+            )
+            answered = time.perf_counter()
+        assert (status, payload["code"]) == (200, "ok")
+        assert len(calls) <= 3
+        assert answered - settled[0] < 0.05
+
+    def test_wakeup_after_the_loop_closed_is_dropped(self):
+        loop = asyncio.new_event_loop()
+        future = loop.create_future()
+        loop.close()
+        _resolve_threadsafe(future)  # a late scheduler wake must not raise
+        assert not future.done()
+
+
 class TestStreamingConformance:
     def test_sse_result_matches_poll(self):
         with server_stack() as (server, owner, analyst):
@@ -444,6 +494,30 @@ class TestStreamingConformance:
             for event, body in events[:-1]:
                 assert event == "status"
                 assert body["state"] in ("queued", "running")
+
+    def test_sse_reports_queued_running_result_with_keepalives(
+        self, monkeypatch
+    ):
+        slow_queries(monkeypatch, 1.5)
+        with server_stack() as (server, owner, analyst):
+            analyst.submit(query_body(epsilon=0.25))
+            queued = analyst.submit(query_body(epsilon=0.25))
+            connection = http.client.HTTPConnection(*server.address, timeout=10)
+            connection.request(
+                "GET", f"/v1/queries/{queued}/events",
+                headers={"Authorization": f"Bearer {analyst.token}"},
+            )
+            # The server closes the stream after the result event.
+            lines = [raw.decode().rstrip("\r\n") for raw in connection.getresponse()]
+            connection.close()
+        events = [line[len("event: "):] for line in lines if line.startswith("event:")]
+        assert events == ["status", "status", "result"]
+        data = [json.loads(line[len("data: "):]) for line in lines
+                if line.startswith("data:")]
+        assert [d["state"] for d in data[:2]] == ["queued", "running"]
+        assert data[2]["code"] == "ok"
+        # Over a second in each state: the idle stream carries keepalives.
+        assert lines.count(": keepalive") >= 2
 
     def test_sse_unknown_query_is_404(self):
         with server_stack(register=False) as (server, owner, analyst):

@@ -5,14 +5,15 @@ Two experiments share this file:
 * ``test_figure6`` regenerates the paper's completion-time-vs-restarts
   curve (everyone's time grows with the restart count; GUPT's slope
   stays comparable to the non-private run's).
-* ``test_backend_scalability`` sweeps execution backends × worker
-  counts at growing block counts and writes ``BENCH_scalability.json``.
-  The paper's scalability claim (§7.4) is that sample-and-aggregate
-  parallelizes embarrassingly; the sweep shows the *chamber overhead*
-  side of that claim — the persistent worker pool must beat
-  fork-per-block :class:`SubprocessChamber` by >= 5x at 100+ blocks
-  while releasing bit-for-bit identical values under a fixed seed
-  (same plan draw, same noise draw, same aggregation).
+* ``test_backend_scalability`` sweeps execution backends at growing
+  block counts and writes ``BENCH_scalability.json``.  The paper's
+  scalability claim (§7.4) is that sample-and-aggregate parallelizes
+  embarrassingly; the sweep shows the *chamber overhead* side of that
+  claim — the remote backend over two ``repro shard-node`` processes
+  must beat fork-per-block :class:`SubprocessChamber` by >= 5x at 100+
+  blocks while releasing bit-for-bit identical values under a fixed
+  seed (every row plans at the same 2 logical shards: same plan draw,
+  same noise draw, same aggregation).
 
 ``SCALABILITY_SCALE=smoke`` shrinks the sweep for CI (and skips the
 5x assertion, which needs realistic block counts to be meaningful).
@@ -30,12 +31,16 @@ from repro.core.range_estimation import TightRange
 from repro.datasets.table import DataTable
 from repro.experiments import figure6
 from repro.runtime.computation_manager import ComputationManager
+from repro.runtime.remote import local_node_cluster
 from repro.runtime.sandbox import SubprocessChamber
 
 SEED = 424242
 RECORDS_PER_BLOCK = 100
 DIMENSIONS = 8
 EPSILON = 0.5
+SHARDS = 2
+NODES = 2
+BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 def block_mean(block):
@@ -86,27 +91,35 @@ def test_backend_scalability():
     smoke = os.environ.get("SCALABILITY_SCALE", "full") == "smoke"
     block_counts = [8, 16] if smoke else [32, 128]
 
-    configs = [
-        ("subprocess-fork", lambda: ComputationManager(chamber=SubprocessChamber())),
-        ("serial", lambda: ComputationManager(backend="serial")),
-        ("pool-1", lambda: ComputationManager(backend="pool", max_workers=1)),
-        ("pool-2", lambda: ComputationManager(backend="pool", max_workers=2)),
-        ("pool-4", lambda: ComputationManager(backend="pool", max_workers=4)),
-    ]
+    # Node processes unpickle ``block_mean`` by reference, so they need
+    # this bench module importable.
+    with local_node_cluster(
+        NODES, spawn="process", env={"PYTHONPATH": BENCH_DIR}
+    ) as cluster:
+        configs = [
+            ("subprocess-fork", lambda: ComputationManager(
+                chamber=SubprocessChamber(), shards=SHARDS
+            )),
+            ("serial", lambda: ComputationManager(backend="serial", shards=SHARDS)),
+            (f"remote-process-{NODES}", lambda: ComputationManager(
+                backend="remote", shards=SHARDS, nodes=cluster.addresses
+            )),
+        ]
 
-    rows = []
-    for num_blocks in block_counts:
-        for name, make_manager in configs:
-            row = _time_backend(name, num_blocks, make_manager)
-            rows.append(row)
-            print(
-                f"\n{name:>16} blocks={num_blocks:>4} "
-                f"{row['seconds'] * 1e3:9.1f} ms  value[0]={row['value'][0]:.6f}"
-            )
+        rows = []
+        for num_blocks in block_counts:
+            for name, make_manager in configs:
+                row = _time_backend(name, num_blocks, make_manager)
+                rows.append(row)
+                print(
+                    f"\n{name:>16} blocks={num_blocks:>4} "
+                    f"{row['seconds'] * 1e3:9.1f} ms  value[0]={row['value'][0]:.6f}"
+                )
 
     # Released values are bit-for-bit identical across every backend at
-    # each block count: same seed -> same plan, same noise, and the
-    # chamber/pool paths compute the same block outputs.
+    # each block count: same seed and shard count -> same plan, same
+    # noise, and the chambers and shard nodes compute the same block
+    # outputs.
     for num_blocks in block_counts:
         values = {
             tuple(r["value"]) for r in rows if r["blocks"] == num_blocks
@@ -116,8 +129,9 @@ def test_backend_scalability():
     speedups = {}
     for num_blocks in block_counts:
         at_count = {r["backend"]: r["seconds"] for r in rows if r["blocks"] == num_blocks}
-        best_pool = min(v for k, v in at_count.items() if k.startswith("pool"))
-        speedups[str(num_blocks)] = at_count["subprocess-fork"] / best_pool
+        speedups[str(num_blocks)] = (
+            at_count["subprocess-fork"] / at_count[f"remote-process-{NODES}"]
+        )
 
     write_bench(
         "scalability",
@@ -125,7 +139,7 @@ def test_backend_scalability():
         bench="backend_scalability",
         payload={
             "results": rows,
-            "pool_speedup_vs_subprocess": speedups,
+            "remote_speedup_vs_subprocess": speedups,
             "identical_released_values": True,
         },
         params={
@@ -133,15 +147,17 @@ def test_backend_scalability():
             "dimensions": DIMENSIONS,
             "epsilon": EPSILON,
             "seed": SEED,
+            "shards": SHARDS,
+            "nodes": NODES,
         },
     )
-    print(f"\npool speedup vs fork-per-block: {speedups}")
+    print(f"\nremote speedup vs fork-per-block: {speedups}")
 
     if not smoke:
         at_max = max(block_counts)
         assert at_max >= 100
         assert speedups[str(at_max)] >= 5.0, (
-            f"pool only {speedups[str(at_max)]:.1f}x faster than fork-per-block "
+            f"remote only {speedups[str(at_max)]:.1f}x faster than fork-per-block "
             f"at {at_max} blocks"
         )
 

@@ -8,8 +8,7 @@ baseline at a fixed public shard count, and writes
 Two claims are asserted:
 
 * releases are bit-for-bit identical across every transport and node
-  count at the same ``S`` — the network is execution geometry, exactly
-  like worker count;
+  count at the same ``S`` — the network is execution geometry;
 * segment residency amortizes: after the cold query pushes each shard's
   rows once, warm queries move only plans, programs and ``(l_s, p)``
   partials, so ``remote.segment_pushes`` stays at ``S`` across repeats.
@@ -68,8 +67,8 @@ def _time_query(runtime: GuptRuntime) -> tuple[float, tuple[float, ...]]:
 
 
 def _run_config(num_records: int, label: str, shards: int, *,
-                backend: str | None = None, workers: int | None = None,
-                nodes: int | None = None, node_spawn: str | None = None) -> dict:
+                backend: str | None = None, nodes: int | None = None,
+                node_spawn: str | None = None) -> dict:
     registry = MetricsRegistry()
     manager = _manager(num_records)
     remote = None
@@ -79,16 +78,16 @@ def _run_config(num_records: int, label: str, shards: int, *,
             metrics=registry, heartbeat_interval=None,
         )
         computation = ComputationManager(
-            backend="remote", shards=shards, max_workers=nodes or 1,
-            sharded=remote, metrics=registry,
+            backend="remote", shards=shards, sharded=remote,
+            metrics=registry,
         )
         runtime = GuptRuntime(
             manager, computation_manager=computation, rng=SEED, metrics=registry
         )
     else:
         runtime = GuptRuntime(
-            manager, rng=SEED, backend=backend, workers=workers,
-            shards=shards, nodes=nodes, metrics=registry,
+            manager, rng=SEED, backend=backend, shards=shards,
+            nodes=nodes, metrics=registry,
         )
     try:
         cold_seconds, cold_value = _time_query(runtime)
@@ -109,7 +108,6 @@ def _run_config(num_records: int, label: str, shards: int, *,
     return {
         "transport": label,
         "nodes": nodes,
-        "workers": workers,
         "shards": shards,
         "records": num_records,
         "cold_seconds": cold_seconds,

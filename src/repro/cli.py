@@ -82,8 +82,7 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=list(BACKENDS),
         default=None,
-        help="execution backend (default: serial; pool = persistent "
-             "worker processes with zero-copy block dispatch; vectorized "
+        help="execution backend (default: serial; vectorized "
              "= one fused numpy call over the stacked blocks for "
              "programs declaring a batch form, bit-identical to serial; "
              "remote = shard nodes with shard-local block plans and a "
@@ -91,16 +90,12 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
              "same --shards — see --nodes and the shard-node command)",
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes of the pool backend (and the default "
-             "node and shard count under --backend remote)",
-    )
-    parser.add_argument(
         "--nodes", default=None, metavar="N|HOST:PORT,...",
         help="with --backend remote: a comma-separated list of running "
              "shard-node addresses (start 'repro shard-node' processes "
              "for multi-process sharding on one box), or an integer to "
-             "spawn that many node threads in this process",
+             "spawn that many node threads in this process (default: "
+             "one)",
     )
     parser.add_argument(
         "--node-secret", default=None, metavar="SECRET",
@@ -112,7 +107,8 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
         help="logical shard count of the sharded plan protocol — a "
              "public plan parameter the released bits depend on (like "
              "--block-size), honored by every backend; default 1, or "
-             "one shard per worker under --backend remote",
+             "one shard per node under --backend remote with an "
+             "integer --nodes",
     )
     parser.add_argument(
         "--state-dir", default=None, metavar="DIR",
@@ -311,7 +307,6 @@ def _execute_query(args, metrics: MetricsRegistry | None = None):
         rng=args.seed,
         metrics=metrics,
         backend=args.backend,
-        workers=args.workers,
         shards=args.shards,
         nodes=_resolve_nodes(args.nodes),
         node_secret=args.node_secret,
@@ -412,7 +407,6 @@ def run_serve_http(args) -> int:
         metrics=registry,
         rng=args.seed,
         backend=args.backend,
-        workers=args.workers,
         shards=args.shards,
         nodes=_resolve_nodes(args.nodes),
         node_secret=args.node_secret,
@@ -485,7 +479,6 @@ def run_serve(args) -> int:
         metrics=registry,
         rng=args.seed,
         backend=args.backend,
-        workers=args.workers,
         shards=args.shards,
         nodes=_resolve_nodes(args.nodes),
         node_secret=args.node_secret,

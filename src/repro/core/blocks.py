@@ -258,8 +258,8 @@ class BlockPlan:
 # Sample-and-aggregate composes across contiguous *shards* of a dataset:
 # block outputs are iid clamped summaries, so a plan may be drawn as the
 # concatenation of shard-local plans — each shard partitions only its own
-# records — and executed anywhere (one process, a worker pool, or K
-# shard nodes) without changing a single released bit.
+# records — and executed anywhere (one process, or K shard nodes)
+# without changing a single released bit.
 #
 # The protocol makes that invariance hold *by construction*:
 #

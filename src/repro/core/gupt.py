@@ -64,16 +64,15 @@ class GuptRuntime:
         Registry receiving phase spans and query telemetry; ``None``
         uses the process default.  Every recorded value is release-safe
         (see :mod:`repro.observability`).
-    backend, workers, shards, nodes:
+    backend, shards, nodes:
         Convenience knobs that build the computation manager in place
-        (``backend`` one of ``serial``/``pool``/``vectorized``/
-        ``remote``; ``workers`` the pool width and the remote backend's
-        default node and shard count; ``shards`` the logical
-        shard count of the sharded plan protocol — a public plan
-        parameter released bits depend on, applying to every backend;
-        ``nodes`` the shard-node cluster for ``backend="remote"`` —
-        addresses, a count to spawn locally, or ``None`` for one per
-        worker); mutually exclusive with passing
+        (``backend`` one of ``serial``/``vectorized``/``remote``;
+        ``shards`` the logical shard count of the sharded plan protocol
+        — a public plan parameter released bits depend on, applying to
+        every backend, and under ``backend="remote"`` defaulting to an
+        int ``nodes``, else 1; ``nodes`` the shard-node cluster for
+        ``backend="remote"`` — addresses, a count to spawn locally, or
+        ``None`` for one); mutually exclusive with passing
         ``computation_manager``.
     node_secret:
         Shared secret for the remote backend's mutual handshake
@@ -119,7 +118,6 @@ class GuptRuntime:
         rng: RandomSource = None,
         metrics: MetricsRegistry | None = None,
         backend: str | None = None,
-        workers: int | None = None,
         shards: int | None = None,
         nodes: int | list | None = None,
         node_secret: str | None = None,
@@ -131,18 +129,16 @@ class GuptRuntime:
     ):
         if computation_manager is not None and (
             backend is not None
-            or workers is not None
             or shards is not None
             or nodes is not None
             or node_secret is not None
         ):
             raise GuptError(
-                "pass either computation_manager or backend/workers/"
-                "shards/nodes/node_secret, not both"
+                "pass either computation_manager or backend/shards/"
+                "nodes/node_secret, not both"
             )
         if computation_manager is None:
             computation_manager = ComputationManager(
-                max_workers=workers if workers is not None else 1,
                 backend=backend,
                 shards=shards,
                 nodes=nodes,
@@ -219,7 +215,7 @@ class GuptRuntime:
         return self._answer_cache
 
     def close(self) -> None:
-        """Release execution-backend resources (worker processes).
+        """Release execution-backend resources (shard-node sessions).
 
         A dataset manager the runtime built itself (``state_dir=`` or
         default) is closed too, flushing its durable journal; a plan

@@ -3,23 +3,22 @@
 The paper runs every analyst program inside an *isolated execution
 chamber* confined by an AppArmor MAC profile, with a server/client split
 of the computation manager (§6).  This package reproduces that substrate
-with two chamber implementations:
+with two chamber implementations and two data planes:
 
 * :class:`~repro.runtime.sandbox.SubprocessChamber` — real OS-process
   isolation (fresh interpreter state, scratch directory, kill-on-timeout).
 * :class:`~repro.runtime.sandbox.InProcessChamber` — the same semantics
   (fresh program instance, output-only channel, cycle budget, constant
   fallback) enforced in-process for speed; used by the experiments.
-* :class:`~repro.runtime.pool.PoolChamberBackend` — a persistent pool of
-  pre-forked chamber workers with zero-copy shared-memory block dispatch;
-  process isolation without the fork-per-block cost.
 * :mod:`~repro.runtime.vectorized` — the batch fast path: programs that
   declare ``run_batch`` run over the whole stacked block array in one
   numpy call, bit-identical to the per-block backends.
+* :mod:`~repro.runtime.remote` — the shard coordinator, the one
+  multi-process data plane: logical shards execute on shard nodes
+  (threads, ``repro shard-node`` processes on this box, or other hosts).
 """
 
 from repro.runtime.policy import MACPolicy
-from repro.runtime.pool import PoolChamberBackend
 from repro.runtime.sandbox import (
     BlockExecution,
     ExecutionChamber,
@@ -51,7 +50,6 @@ __all__ = [
     "ExternalProgram",
     "InProcessChamber",
     "MACPolicy",
-    "PoolChamberBackend",
     "QueryHandle",
     "QueryScheduler",
     "SubprocessChamber",

@@ -6,22 +6,14 @@ component on each cluster node (instantiates chambers, pipes data in,
 collects outputs, forbids any other communication).  This module keeps
 that separation: :class:`ComputationManager` is the server-side object
 the GUPT runtime calls; each block execution goes through a
-:class:`~repro.runtime.sandbox.ExecutionChamber`, a pooled worker
-process or a shard node, which plays the client role.
+:class:`~repro.runtime.sandbox.ExecutionChamber` or a shard node, which
+plays the client role.
 
-Four execution backends trade isolation strength against dispatch cost:
+Three execution backends trade isolation strength against dispatch cost:
 
 ``serial``
     One chamber call per block on the calling thread.  Zero dispatch
     overhead; keeps single-threaded benchmarks honest.
-``pool``
-    :class:`~repro.runtime.pool.PoolChamberBackend` — persistent worker
-    processes, the program pickled once per query, blocks shipped
-    zero-copy through shared memory and dispatched in batches.  Real
-    process isolation at a small fraction of fork-per-block cost; the
-    backend for realistic block counts.  Programs the pickle module
-    cannot ship fall back to the serial chamber path (counted in
-    ``pool.unpicklable_fallbacks``).
 ``vectorized``
     The fast path of :mod:`repro.runtime.vectorized`: a program that
     declares a batch form (``run_batch``) runs over the whole stacked
@@ -32,12 +24,13 @@ Four execution backends trade isolation strength against dispatch cost:
     ``vectorized.fallbacks``.
 ``remote``
     :class:`~repro.runtime.remote.RemoteShardBackend` — the one shard
-    coordinator.  The dataset is split into ``S`` contiguous logical
-    shards held by shard nodes (threads or ``repro shard-node``
-    processes on this box, or nodes on other hosts) speaking the framed
-    binary protocol of :mod:`repro.runtime.remote.wire`; each shard
-    plans and executes its blocks node-locally and ships back only its
-    ``(l_s, p)`` partial of clamped block outputs.  The logical shard
+    coordinator and the one multi-process data plane.  The dataset is
+    split into ``S`` contiguous logical shards held by shard nodes
+    (threads or ``repro shard-node`` processes on this box, or nodes on
+    other hosts) speaking the framed binary protocol of
+    :mod:`repro.runtime.remote.wire`; each shard plans and executes its
+    blocks node-locally and ships back only its ``(l_s, p)`` partial of
+    clamped block outputs.  The logical shard
     count is a *public plan parameter* (``plan_shards``): every backend
     of a manager configured with ``shards=S`` draws the same S-sharded
     combined plan, so releases are bit-identical whether the shards run
@@ -47,15 +40,16 @@ Four execution backends trade isolation strength against dispatch cost:
     degrade to the combined-plan chamber path, counted per reason in
     ``sharded.fallbacks``.
 
-The chamber's ``timing`` is the one source of the §6 timing defense:
-an auto-built pool inherits it, a pre-built pool must agree with it,
-and the vectorized and remote fast paths degrade whenever it is active.
+Hang-safe, crash-safe per-block isolation is a chamber's job: pass a
+:class:`~repro.runtime.sandbox.SubprocessChamber`.  The chamber's
+``timing`` is the one source of the §6 timing defense, and the
+vectorized and remote fast paths degrade whenever it is active.
 
 The manager is also an instrumentation point (see
 :mod:`repro.observability`): per-block latency, success/fallback/kill
 counts and ``blocks.pool_width``, the fan-out the last query's blocks
-actually ran at (pool workers, shard nodes, or 1 on the calling thread,
-which includes every degrade path).  Recorded latency is the wall-clock
+actually ran at (shard nodes, or 1 on the calling thread, which
+includes every degrade path).  Recorded latency is the wall-clock
 of the whole chamber call *including* any timing-defense padding, so
 whenever the defense is on, the histogram observes the padded,
 data-independent duration — never the program's raw compute time.
@@ -72,7 +66,6 @@ import numpy as np
 from repro.exceptions import ComputationError
 from repro.observability import MetricsRegistry, get_registry
 from repro.core.blocks import ShardPlanSummary
-from repro.runtime.pool import PoolChamberBackend
 from repro.runtime.sandbox import (
     AnalystProgram,
     BlockExecution,
@@ -89,7 +82,7 @@ from repro.runtime.vectorized import (
     supports_batch,
 )
 
-BACKENDS = ("serial", "pool", "vectorized", "remote")
+BACKENDS = ("serial", "vectorized", "remote")
 
 
 def _enabled(timing: TimingDefense | None) -> TimingDefense | None:
@@ -104,36 +97,26 @@ class ComputationManager:
     ----------
     chamber:
         The isolation boundary of every in-process block call: the
-        ``serial`` backend, the ``vectorized`` and ``remote`` degrade
-        paths and the pool backend's unpicklable-program fallback.
-        Defaults to an unbudgeted :class:`InProcessChamber`.  Its
-        ``timing`` is the manager's only timing-defense setting.
-    max_workers:
-        Pool worker processes, and the default node and shard count of
-        the ``remote`` backend.  In-process chambers always run on the
-        calling thread.
+        ``serial`` backend and the ``vectorized`` and ``remote`` degrade
+        paths.  Defaults to an unbudgeted :class:`InProcessChamber`.
+        Its ``timing`` is the manager's only timing-defense setting.
+        Chambers always run on the calling thread.
     metrics:
         Registry receiving block-level telemetry; ``None`` uses the
         process default.
     backend:
         One of :data:`BACKENDS`; ``None`` selects ``serial``.
-    pool:
-        A pre-built :class:`PoolChamberBackend` to use for the ``pool``
-        backend (e.g. one shared across managers, or one with a fixed
-        ``batch_size``); ``None`` constructs one on demand from
-        ``max_workers`` and the chamber's timing.  Its timing must agree
-        with the chamber's.
     shards:
         Logical shard count ``S`` of the sharded plan protocol — a
         *public plan parameter* that applies to **every** backend: a
         manager with ``shards=4`` draws 4-sharded combined plans whether
-        it executes them serially, through the pool, the vectorized
-        path, or shard nodes.  That is what makes the determinism
-        matrix possible — fix ``shards`` and vary the backend, and the
-        released bits do not move.  Defaults to ``1``
-        (the legacy single-plan protocol, bit-compatible with earlier
-        releases) except under ``backend="remote"``, where it defaults
-        to one logical shard per worker.
+        it executes them serially, through the vectorized path, or on
+        shard nodes.  That is what makes the determinism matrix
+        possible — fix ``shards`` and vary the backend, and the released
+        bits do not move.  Defaults to ``1`` (the legacy single-plan
+        protocol, bit-compatible with earlier releases) except under
+        ``backend="remote"`` with an int ``nodes``, where it defaults to
+        one logical shard per node.
     sharded:
         A pre-built :class:`~repro.runtime.remote.RemoteShardBackend`
         for the ``remote`` backend; ``None`` constructs one on demand.
@@ -145,8 +128,8 @@ class ComputationManager:
         cluster (``repro shard-node`` processes, or
         ``local_node_cluster(K, spawn="process")`` for multi-process
         sharding on one box), an int to spawn that many in-process
-        thread nodes, or ``None`` to spawn one per worker.  Ignored by
-        other backends.
+        thread nodes, or ``None`` to spawn one.  Ignored by other
+        backends.
     node_secret:
         For ``backend="remote"``: the shared node-authentication secret
         handed to an auto-constructed :class:`RemoteShardBackend`
@@ -157,38 +140,23 @@ class ComputationManager:
     def __init__(
         self,
         chamber: ExecutionChamber | None = None,
-        max_workers: int = 1,
         metrics: MetricsRegistry | None = None,
         backend: str | None = None,
-        pool: PoolChamberBackend | None = None,
         shards: int | None = None,
         sharded: RemoteShardBackend | None = None,
         nodes: int | list | None = None,
         node_secret: str | None = None,
     ):
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
         backend = backend or "serial"
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
         if shards is not None and shards < 1:
             raise ValueError("shards must be >= 1 (or None for the default)")
+        if isinstance(nodes, int) and nodes < 1:
+            raise ValueError("nodes must be >= 1 (or None for one node)")
         self._chamber = chamber or InProcessChamber(metrics=metrics)
-        self._max_workers = max_workers
         self._metrics = metrics
         self._backend = backend
-        self._pool = pool
-        self._owns_pool = pool is None
-        timing = getattr(self._chamber, "timing", None)
-        if pool is not None and _enabled(pool.timing) != _enabled(timing):
-            raise ValueError(
-                f"the provided pool's timing {pool.timing} disagrees with "
-                f"the chamber's {timing}"
-            )
-        if backend == "pool" and self._pool is None:
-            self._pool = PoolChamberBackend(
-                workers=max_workers, timing=timing, metrics=metrics
-            )
         self._sharded = sharded
         self._owns_sharded = sharded is None
         if sharded is not None:
@@ -199,13 +167,15 @@ class ComputationManager:
                 )
             self._plan_shards = sharded.shards
         elif backend == "remote":
-            # One logical shard per worker by default: a function of
-            # configuration, never of os.cpu_count(), since the shard
+            # One logical shard per spawned node by default: a function
+            # of configuration, never of os.cpu_count(), since the shard
             # count is a plan parameter that released bits depend on.
-            self._plan_shards = shards if shards is not None else max_workers
+            if shards is None:
+                shards = nodes if isinstance(nodes, int) else 1
+            self._plan_shards = shards
             self._sharded = RemoteShardBackend(
-                shards=self._plan_shards,
-                nodes=nodes if nodes is not None else max_workers,
+                shards=shards,
+                nodes=nodes if nodes is not None else 1,
                 metrics=metrics,
                 secret=node_secret,
             )
@@ -217,16 +187,8 @@ class ComputationManager:
         return self._chamber
 
     @property
-    def max_workers(self) -> int:
-        return self._max_workers
-
-    @property
     def backend(self) -> str:
         return self._backend
-
-    @property
-    def pool(self) -> PoolChamberBackend | None:
-        return self._pool
 
     @property
     def sharded_backend(self) -> RemoteShardBackend | None:
@@ -239,8 +201,7 @@ class ComputationManager:
 
         A public plan parameter (like block size): released bits are a
         function of it, and of nothing else about the deployment —
-        physical worker counts, backend choice and cache state never
-        move them.
+        node counts, backend choice and cache state never move them.
         """
         return self._plan_shards
 
@@ -261,18 +222,14 @@ class ComputationManager:
         return self._sharded.federate(name)
 
     def close(self) -> None:
-        """Release backend resources (worker processes); idempotent.
+        """Release backend resources (node sessions); idempotent.
 
         Teardown paths overlap (``GuptRuntime.close``, context managers,
-        test fixtures), so closing twice must be safe: the pool backend
-        tears down only the workers it currently has (a second close
-        finds none), and the remote backend releases its sessions and
-        any nodes it spawned exactly once behind its own guard.
-        Backends passed in by the caller are never closed here — they
-        stay the caller's to close.
+        test fixtures), so closing twice must be safe: the remote
+        backend releases its sessions and any nodes it spawned exactly
+        once behind its own guard.  A backend passed in by the caller is
+        never closed here — it stays the caller's to close.
         """
-        if self._pool is not None and self._owns_pool:
-            self._pool.close()
         if self._sharded is not None and self._owns_sharded:
             self._sharded.close()
 
@@ -348,7 +305,7 @@ class ComputationManager:
                 if succeeded == 0:
                     raise ComputationError(self._all_failed_message(output_dimension))
                 return batch
-        # Chamber/pool path (including a counted vectorized degrade):
+        # Chamber path (including a counted vectorized degrade):
         # run the per-block contract, then collect to matrix form.
         if blocks is None:
             if stacked is None:
@@ -466,10 +423,6 @@ class ComputationManager:
             )
         if batch is not None:
             results = batch.to_executions()
-        elif self._backend == "pool":
-            results = self._run_pool(
-                metrics, program, blocks, output_dimension, fallback
-            )
         else:
             # Serial — and the vectorized and remote backends' degraded
             # paths, whose fallback reasons are already counted.
@@ -568,25 +521,3 @@ class ComputationManager:
             durations.append(time.perf_counter() - started)
         metrics.histogram("blocks.latency_seconds").observe_many(durations)
         return results
-
-    # -- pool backend ----------------------------------------------------
-    def _run_pool(
-        self, metrics, program, blocks, output_dimension, fallback
-    ) -> list[BlockExecution]:
-        try:
-            program_bytes = pickle.dumps(program)
-        except Exception:
-            # Closures/lambdas cannot cross a process boundary; degrade
-            # to the serial chamber path rather than refusing the query.
-            metrics.counter("pool.unpicklable_fallbacks").inc()
-            return self._run_chambers(
-                metrics, program, blocks, output_dimension, fallback
-            )
-        metrics.gauge("blocks.pool_width").set(self._pool.workers)
-        return self._pool.run_blocks(
-            program,
-            blocks,
-            output_dimension,
-            fallback,
-            program_bytes=program_bytes,
-        )

@@ -32,8 +32,8 @@ Failure handling, in escalating order:
   bits.  Each shard is re-assigned at most once per query.
 * **Quorum degrade.**  Shards that remain unanswered (every holder
   dead, or the retry died too) resolve to the query's data-independent
-  fallback rows — the killed-worker semantics of the pool backend —
-  and the query is flagged in telemetry
+  fallback rows — the same data-independent outcome a chamber gives a
+  killed block — and the query is flagged in telemetry
   (``remote.degraded_queries``) instead of raising.
 
 Telemetry (all release-safe geometry/counters, never payloads):
@@ -131,7 +131,9 @@ class LocalNodeCluster:
     line): single-box multi-process sharding, and what the fault matrix
     and the CI soak use — a crashed subprocess is a genuinely dead peer.
     ``env`` adds variables to subprocess nodes (e.g. arming
-    ``REPRO_FAILPOINTS`` in a victim node).
+    ``REPRO_FAILPOINTS`` in a victim node); a ``PYTHONPATH`` there is
+    appended to the node's own import path rather than replacing it
+    (e.g. a directory holding the analyst program's module).
     """
 
     def __init__(
@@ -174,8 +176,12 @@ class LocalNodeCluster:
             os.path.dirname(os.path.abspath(os.path.dirname(__file__)))
         )
         package_root = os.path.dirname(package_root)  # .../src
+        env = dict(env or {})
         node_path = os.pathsep.join(
-            p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+            p for p in (
+                package_root, env.pop("PYTHONPATH", None),
+                os.environ.get("PYTHONPATH"),
+            ) if p
         )
         secret_env = {} if secret is None else {"REPRO_SHARD_SECRET": secret}
         for _ in range(count):
@@ -186,9 +192,9 @@ class LocalNodeCluster:
                 text=True,
                 env={
                     **os.environ,
-                    "PYTHONPATH": node_path,
                     **secret_env,
-                    **(env or {}),
+                    **env,
+                    "PYTHONPATH": node_path,
                 },
             )
             line = process.stdout.readline().strip()
@@ -241,7 +247,7 @@ class RemoteShardBackend:
     ----------
     shards:
         Logical shard count S — the public plan parameter released bits
-        depend on.  Node count, like worker count, never matters.
+        depend on.  Node count never matters.
     nodes:
         Where the nodes are: a list of ``(host, port)`` tuples or
         ``"host:port"`` strings for an existing cluster, an int to

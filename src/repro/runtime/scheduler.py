@@ -15,7 +15,7 @@ serving layer that makes that safe and fair:
   keeps its budget burn-down order deterministic and stops one hot
   dataset from starving the others; parallelism comes from concurrent
   datasets and from the block-level execution backend underneath
-  (the worker-pool or remote :class:`ComputationManager`).
+  (the remote :class:`ComputationManager`).
 * **Per-query timeouts.**  A query that exceeds ``query_timeout`` —
   waiting or running — resolves to a structured timeout response.  A
   still-queued query is killed before it ever reserves budget; a

@@ -222,7 +222,6 @@ class GuptService:
         rng: RandomSource = None,
         metrics: MetricsRegistry | None = None,
         backend: str | None = None,
-        workers: int | None = None,
         shards: int | None = None,
         nodes: int | list | None = None,
         node_secret: str | None = None,
@@ -254,7 +253,6 @@ class GuptService:
             rng=rng,
             metrics=metrics,
             backend=backend,
-            workers=workers,
             shards=shards,
             nodes=nodes,
             node_secret=node_secret,

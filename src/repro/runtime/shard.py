@@ -29,8 +29,8 @@ nodes (:mod:`repro.runtime.remote.node`) on this box or others.
   cost is a function of public geometry only).  The coordinator
   concatenates partials in shard order — reproducing the
   single-process block order exactly — so a seeded query releases the
-  same bits as ``serial``/``thread``/``pool``/``vectorized`` replaying
-  the same sharded plan, for any number of executors.
+  same bits as ``serial``/``vectorized`` replaying the same sharded
+  plan, for any number of nodes.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ the constant in-range fallback (``succeeded=False``) exactly as a
 failed chamber execution would be, and a batch call that raises falls
 back to the chamber path wholesale.  Noise draws never happen here, so
 a seeded query releases the same bits through ``vectorized`` as through
-``serial``/``pool``/``remote``.
+``serial``/``remote``.
 
 **What the fast path does not do.**  It runs the declared batch form
 in-process without a chamber, so it must not weaken any chamber

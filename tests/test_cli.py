@@ -103,6 +103,36 @@ class TestQuery:
         assert "x 1 records" in capsys.readouterr().out  # optimizer picks beta=1
 
 
+    @pytest.mark.parametrize("command", ["query", "stats", "serve"])
+    @pytest.mark.parametrize(
+        "flags", [["--backend", "pool"], ["--workers", "2"]], ids=["pool", "workers"]
+    )
+    def test_retired_execution_flags_are_usage_errors(
+        self, ages_csv, capsys, command, flags
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                command, "--data", str(ages_csv), "--program", "mean",
+                "--range", "0", "150", "--epsilon", "1.0", *flags,
+            ])
+        assert exit_info.value.code == 2
+
+    def test_integer_nodes_sets_the_default_shard_count(self, ages_csv, capsys):
+        """``--nodes N`` alone plans N logical shards, like ``--shards N``."""
+
+        def released(*flags):
+            assert main([
+                "query", "--data", str(ages_csv), "--program", "mean",
+                "--range", "0", "150", "--epsilon", "1.0", "--seed", "4",
+                *flags,
+            ]) == 0
+            return capsys.readouterr().out.split("private mean:")[1].split()[0]
+
+        at_two = released("--backend", "remote", "--nodes", "2")
+        assert at_two == released("--backend", "serial", "--shards", "2")
+        assert at_two != released("--backend", "serial")
+
+
 class TestStats:
     def test_stats_prints_observability_snapshot(self, ages_csv, capsys):
         code = main([
@@ -215,7 +245,7 @@ class TestServe:
         code = main([
             "serve", "--data", str(ages_csv), "--program", "mean",
             "--range", "0", "150", "--epsilon", "0.5", "--budget", "4.0",
-            "--backend", "remote", "--shards", "2", "--workers", "2",
+            "--backend", "remote", "--shards", "2", "--nodes", "2",
             "--analysts", "2", "--queries", "2",
             "--max-inflight", "8", "--queue-depth", "16", "--seed", "3",
         ])
@@ -239,7 +269,7 @@ class TestServeHttp:
     MATRIX = [
         ["--backend", "serial", "--shards", "2"],
         ["--backend", "vectorized", "--shards", "2"],
-        ["--backend", "remote", "--shards", "2", "--workers", "2"],
+        ["--backend", "remote", "--nodes", "2"],
     ]
 
     def _serve_and_query(self, ages_csv, extra):

@@ -5,12 +5,21 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.blocks import draw_sharded_plan
 from repro.exceptions import ComputationError
 from repro.observability import MetricsRegistry
-from repro.runtime.computation_manager import ComputationManager
-from repro.runtime.pool import PoolChamberBackend
+from repro.runtime.computation_manager import BACKENDS, ComputationManager
+from repro.runtime.sandbox import InProcessChamber
+from repro.runtime.timing import TimingDefense
 
 BLOCKS = [np.full((10, 1), float(i)) for i in range(5)]
+
+# The remote fan-out fixture: 64 rows at S = 4 shards on 4 nodes, 16
+# disjoint blocks of 4 rows (resampling factor 1), so row value ``v``
+# lands in exactly one block.
+NODES = 4
+FAN_OUT_VALUES = np.arange(64, dtype=float).reshape(-1, 1)
+FAN_OUT_PLAN = dict(block_size=4, resampling_factor=1, plan_seed=2024)
 
 
 def mean_program(block):
@@ -34,13 +43,51 @@ def failing_on_even_program(block):
 
 
 def only_three_program(block):
-    if int(block[0, 0]) != 3:
+    if 3.0 not in block[:, 0]:
         raise RuntimeError
     return 3.0
 
 
-def _manager_for(backend: str, **kwargs) -> ComputationManager:
-    return ComputationManager(backend=backend, max_workers=2, **kwargs)
+def skewed_by_row_program(block):
+    """Output is the block's first row; low rows finish last.
+
+    Shard 0 holds the lowest rows, so its node answers after the others.
+    """
+    time.sleep((64 - block[0, 0]) * 0.0003)
+    return float(block[0, 0])
+
+
+def slow_on_two(block):
+    if block[0, 0] == 2.0:
+        time.sleep(0.1)
+    return float(np.mean(block))
+
+
+def _manager_for(backend: str) -> ComputationManager:
+    return ComputationManager(backend=backend, nodes=2)
+
+
+def _fan_out(program, metrics=None):
+    """``program`` over the fan-out fixture on ``NODES`` shard nodes."""
+    with ComputationManager(
+        backend="remote", nodes=NODES, metrics=metrics
+    ) as manager:
+        assert manager.plan_shards == NODES
+        _, batch = manager.run_sharded_collected(
+            program, FAN_OUT_VALUES, dataset="fan", version=1,
+            output_dimension=1, fallback=np.array([-1.0]), **FAN_OUT_PLAN,
+        )
+    return batch
+
+
+def _serial_reference(program):
+    """The same S-sharded plan through the serial chambers."""
+    plan = draw_sharded_plan(
+        FAN_OUT_VALUES.shape[0], shards=NODES, **FAN_OUT_PLAN
+    )
+    return ComputationManager().run_blocks(
+        program, plan.materialize(FAN_OUT_VALUES), 1, np.array([-1.0])
+    )
 
 
 class TestRunBlocks:
@@ -50,11 +97,9 @@ class TestRunBlocks:
         assert [r.output[0] for r in results] == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_parallel_matches_serial(self):
-        serial = ComputationManager(max_workers=1)
-        a = serial.run_blocks(mean_program, BLOCKS, 1, np.array([0.0]))
-        with ComputationManager(backend="pool", max_workers=4) as parallel:
-            b = parallel.run_blocks(mean_program, BLOCKS, 1, np.array([0.0]))
-        assert [r.output[0] for r in a] == [r.output[0] for r in b]
+        expected = _serial_reference(mean_program)
+        batch = _fan_out(mean_program)
+        assert batch.outputs[:, 0].tolist() == [r.output[0] for r in expected]
 
     def test_partial_failure_uses_fallback(self):
         def failing_on_even(block):
@@ -88,54 +133,46 @@ class TestRunBlocks:
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
-            ComputationManager(max_workers=0)
+            ComputationManager(backend="remote", nodes=0)
+        with pytest.raises(ValueError):
+            ComputationManager(backend="remote", shards=0)
 
 
 class TestParallelFanOut:
-    """The pool's ``max_workers > 1`` fan-out: ordering, failures, metrics."""
+    """The remote fan-out over ``nodes`` shard nodes: ordering,
+    failures, metrics — the same per-block contract as the chambers."""
 
     def test_ordering_preserved_despite_skewed_latencies(self):
-        # Early blocks sleep longest, so completion order inverts
-        # submission order; the result list must still follow block order.
-        blocks = [np.full((4, 1), float(i)) for i in range(8)]
-        with ComputationManager(backend="pool", max_workers=4) as manager:
-            results = manager.run_blocks(
-                shuffle_sensitive_program, blocks, 1, np.array([0.0])
-            )
-        assert [r.output[0] for r in results] == [float(i) for i in range(8)]
+        # Shard 0's node answers last, so arrival order inverts shard
+        # order; the outputs must still follow the combined plan.
+        expected = _serial_reference(skewed_by_row_program)
+        batch = _fan_out(skewed_by_row_program)
+        assert batch.outputs[:, 0].tolist() == [r.output[0] for r in expected]
 
     def test_partial_failures_counted_and_substituted(self):
+        expected = _serial_reference(failing_on_even_program)
+        failed = sum(1 for r in expected if not r.succeeded)
+        assert 0 < failed < len(expected)
         metrics = MetricsRegistry()
-        with ComputationManager(
-            backend="pool", max_workers=4, metrics=metrics
-        ) as manager:
-            results = manager.run_blocks(
-                failing_on_even_program, BLOCKS, 1, np.array([-1.0])
-            )
-        assert [r.output[0] for r in results] == [-1.0, 1.0, -1.0, 3.0, -1.0]
-        assert sum(1 for r in results if not r.succeeded) == 3
-        assert metrics.counter("blocks.executed").value == 5
-        assert metrics.counter("blocks.success").value == 2
-        assert metrics.counter("blocks.fallback").value == 3
-        assert metrics.gauge("blocks.pool_width").value == 4
+        batch = _fan_out(failing_on_even_program, metrics=metrics)
+        assert batch.outputs[:, 0].tolist() == [r.output[0] for r in expected]
+        assert batch.succeeded.tolist() == [r.succeeded for r in expected]
+        assert metrics.counter("blocks.executed").value == len(expected)
+        assert metrics.counter("blocks.success").value == len(expected) - failed
+        assert metrics.counter("blocks.fallback").value == failed
+        assert metrics.gauge("blocks.pool_width").value == NODES
 
     def test_raises_only_when_every_block_fails(self):
-        with ComputationManager(backend="pool", max_workers=4) as manager:
-            with pytest.raises(ComputationError):
-                manager.run_blocks(always_fails_program, BLOCKS, 1, np.array([0.0]))
-            results = manager.run_blocks(
-                only_three_program, BLOCKS, 1, np.array([0.0])
-            )
-        assert sum(1 for r in results if r.succeeded) == 1
+        with pytest.raises(ComputationError):
+            _fan_out(always_fails_program)
+        batch = _fan_out(only_three_program)
+        assert int(batch.succeeded.sum()) == 1
 
     def test_per_block_latency_recorded_for_every_block(self):
         metrics = MetricsRegistry()
-        with ComputationManager(
-            backend="pool", max_workers=4, metrics=metrics
-        ) as manager:
-            manager.run_blocks(mean_program, BLOCKS, 1, np.array([0.0]))
+        batch = _fan_out(mean_program, metrics=metrics)
         summary = metrics.histogram("blocks.latency_seconds").summary()
-        assert summary["count"] == len(BLOCKS)
+        assert summary["count"] == batch.num_blocks == 16
         assert summary["min"] >= 0.0
 
 
@@ -144,57 +181,58 @@ class TestBackendSelection:
 
     def test_default_backend_is_serial(self):
         assert ComputationManager().backend == "serial"
-        assert ComputationManager(max_workers=4).backend == "serial"
-        with ComputationManager(backend="pool", max_workers=2) as manager:
-            assert manager.backend == "pool"
-            assert manager.pool is not None
+        assert ComputationManager(nodes=4).backend == "serial"
+        with ComputationManager(backend="remote", nodes=2) as manager:
+            assert manager.backend == "remote"
+            assert manager.sharded_backend is not None
+        for retired in ("pool", "thread", "warp"):
+            with pytest.raises(ValueError):
+                ComputationManager(backend=retired)
 
-    @pytest.mark.parametrize("backend", ["serial", "pool"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_result_ordering_is_block_order(self, backend):
         # Per-block outputs encode the block index while completion
         # order is inverted; every backend must return submission order.
         blocks = [np.full((4, 1), float(i)) for i in range(8)]
-        with PoolChamberBackend(workers=2, batch_size=1) as pool:
-            with _manager_for(backend, pool=pool) as manager:
-                results = manager.run_blocks(
-                    shuffle_sensitive_program, blocks, 1, np.array([-1.0])
-                )
+        with _manager_for(backend) as manager:
+            results = manager.run_blocks(
+                shuffle_sensitive_program, blocks, 1, np.array([-1.0])
+            )
         assert [r.output[0] for r in results] == [float(i) for i in range(8)]
 
-    @pytest.mark.parametrize("backend", ["serial", "pool"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_all_blocks_failed_raises_on_every_backend(self, backend):
         with _manager_for(backend) as manager:
             with pytest.raises(ComputationError):
                 manager.run_blocks(always_fails_program, BLOCKS, 1, np.array([0.0]))
 
-    @pytest.mark.parametrize("backend", ["pool"])
-    def test_chunked_dispatch_matches_serial(self, backend):
-        serial = ComputationManager()
-        expected = serial.run_blocks(mean_program, BLOCKS, 1, np.array([0.0]))
-        with PoolChamberBackend(workers=2, batch_size=2) as pool:
-            with _manager_for(backend, pool=pool) as manager:
-                results = manager.run_blocks(
-                    mean_program, BLOCKS, 1, np.array([0.0])
-                )
-        assert [r.output[0] for r in results] == [r.output[0] for r in expected]
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_chamber_timing_is_enforced_on_every_backend(backend):
+    # The chamber is the manager's only timing source: whatever runs
+    # the blocks must kill the over-budget block and substitute the
+    # fallback.
+    timing = TimingDefense(cycle_budget=0.05, pad=False)
+    with ComputationManager(
+        chamber=InProcessChamber(timing=timing), backend=backend
+    ) as manager:
+        results = manager.run_blocks(slow_on_two, BLOCKS[:4], 1, np.array([-1.0]))
+    assert [r.killed for r in results] == [False, False, True, False]
+    assert [r.output[0] for r in results] == [0.0, 1.0, -1.0, 3.0]
 
 
 class TestPoolWidth:
     """``blocks.pool_width`` reports the fan-out that actually ran."""
 
     @staticmethod
-    def _run_blocks(metrics, backend, program, pool=None):
-        with ComputationManager(
-            backend=backend, max_workers=4, metrics=metrics, pool=pool
-        ) as manager:
+    def _run_blocks(metrics, backend, program):
+        with ComputationManager(backend=backend, metrics=metrics) as manager:
             manager.run_blocks(program, BLOCKS, 1, np.array([0.0]))
 
     @pytest.mark.parametrize(
         "path, expected",
         [
             ("serial", 1),
-            ("pool", 2),
-            ("pool-unpicklable", 1),
             ("vectorized", 1),
             ("vectorized-degrade", 1),
             ("remote", 2),
@@ -210,13 +248,6 @@ class TestPoolWidth:
         metrics = MetricsRegistry()
         if path == "serial":
             self._run_blocks(metrics, "serial", mean_program)
-        elif path.startswith("pool"):
-            with PoolChamberBackend(workers=2) as pool:
-                program = (
-                    mean_program if path == "pool"
-                    else lambda block: float(np.mean(block))
-                )
-                self._run_blocks(metrics, "pool", program, pool=pool)
         elif path.startswith("vectorized"):
             program = Mean() if path == "vectorized" else mean_program
             self._run_blocks(metrics, "vectorized", program)
@@ -228,8 +259,7 @@ class TestPoolWidth:
                 total_budget=1.0,
             )
             computation = ComputationManager(
-                backend="remote", max_workers=4, nodes=2, shards=4,
-                metrics=metrics,
+                backend="remote", nodes=2, shards=4, metrics=metrics,
             )
             with GuptRuntime(
                 datasets, computation_manager=computation, rng=1, metrics=metrics
@@ -238,7 +268,6 @@ class TestPoolWidth:
             computation.close()
         # Each case really took the path it names.
         ran = {
-            "pool-unpicklable": ("pool.unpicklable_fallbacks", {}),
             "vectorized": ("vectorized.batches", {}),
             "vectorized-degrade": (
                 "vectorized.fallbacks", {"reason": "no_batch_form"}

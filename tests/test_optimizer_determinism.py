@@ -28,7 +28,7 @@ EPSILON = 0.5
 BLOCK_SIZE = 50
 NUM_RECORDS = 1_000
 
-BACKENDS = ["serial", "pool", "vectorized", "remote"]
+BACKENDS = ["serial", "vectorized", "remote"]
 
 
 def _values() -> np.ndarray:
@@ -54,7 +54,7 @@ def _runtime(backend, answer_cache_size=None) -> GuptRuntime:
         total_budget=100.0,
     )
     return GuptRuntime(
-        manager, rng=SEED, backend=backend, workers=2, shards=2,
+        manager, rng=SEED, backend=backend, nodes=2, shards=2,
         answer_cache_size=answer_cache_size,
     )
 

@@ -24,7 +24,7 @@ SEEDS = (7, 1234, 987654321)
 
 
 def make_service(backend: str) -> GuptService:
-    service = GuptService(rng=0, backend=backend, workers=2)
+    service = GuptService(rng=0, backend=backend)
     owner = service.enroll("owner", "o")
     rng = np.random.default_rng(42)
     from repro.datasets.table import DataTable
@@ -42,7 +42,7 @@ def wire_body(seed: int, program: str = "mean", **extra) -> dict:
     )
 
 
-@pytest.mark.parametrize("backend", ["serial", "pool", "vectorized"])
+@pytest.mark.parametrize("backend", ["serial", "vectorized", "remote"])
 def test_http_matches_in_process_execute(backend):
     service = make_service(backend)
     server = GuptHttpServer(service, admin_token=ADMIN)
@@ -101,7 +101,7 @@ def test_backends_agree_over_the_wire():
     """The released value for one seed is identical whichever backend
     serves it — the PR 5 cross-backend guarantee holds through HTTP."""
     released: dict[str, tuple] = {}
-    for backend in ("serial", "pool", "vectorized"):
+    for backend in ("serial", "vectorized", "remote"):
         service = make_service(backend)
         server = GuptHttpServer(service, admin_token=ADMIN)
         host, port = server.start()

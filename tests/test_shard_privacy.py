@@ -79,8 +79,8 @@ def _run_remote_observed(manager, metrics, declared_range):
     )
     try:
         computation = ComputationManager(
-            backend="remote", shards=SHARDS, max_workers=2,
-            sharded=backend, metrics=metrics,
+            backend="remote", shards=SHARDS, sharded=backend,
+            metrics=metrics,
         )
         runtime = GuptRuntime(
             manager, computation_manager=computation, rng=7, metrics=metrics
@@ -223,8 +223,8 @@ class TestFederatedWireSentinels:
                 heartbeat_interval=None,
             )
             computation = ComputationManager(
-                backend="remote", shards=SHARDS, max_workers=2,
-                sharded=backend, metrics=metrics,
+                backend="remote", shards=SHARDS, sharded=backend,
+                metrics=metrics,
             )
             runtime = GuptRuntime(
                 DatasetManager(), computation_manager=computation, rng=7,

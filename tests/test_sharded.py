@@ -3,8 +3,8 @@
 The shard protocol's core contract is that sharding is *execution
 geometry*, not a statistical change: for a fixed logical shard count
 ``S`` (a public plan parameter, like block size) every backend —
-serial, pool, vectorized, remote over any number of shard
-nodes — releases bit-for-bit identical values under the same seed.
+serial, vectorized, remote over any number of shard nodes —
+releases bit-for-bit identical values under the same seed.
 These tests pin that matrix, the shard-major combine protocol
 underneath it, the degrade paths (timing defense, unpicklable programs,
 explicit grouped plans), and what a node-killing program costs: only
@@ -12,6 +12,7 @@ its own shard, which resolves to fallback rows.
 """
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -67,7 +68,6 @@ def _values(num_records: int = NUM_RECORDS) -> np.ndarray:
 def _release(
     *,
     backend: str | None = None,
-    workers: int | None = None,
     shards: int | None = None,
     nodes=None,
     computation: ComputationManager | None = None,
@@ -87,8 +87,8 @@ def _release(
         )
     else:
         runtime = GuptRuntime(
-            manager, rng=SEED, backend=backend, workers=workers,
-            shards=shards, nodes=nodes, metrics=metrics,
+            manager, rng=SEED, backend=backend, shards=shards,
+            nodes=nodes, metrics=metrics,
         )
     try:
         result = runtime.run(
@@ -106,10 +106,9 @@ def _release(
 
 class TestDeterminismMatrix:
     def test_every_backend_agrees_at_fixed_shards(self):
-        """serial/pool/vectorized/remote: same bits at S=4."""
+        """serial/vectorized/remote: same bits at S=4."""
         releases = {
             "serial": _release(backend="serial", shards=4),
-            "pool": _release(backend="pool", workers=2, shards=4),
             "vectorized": _release(backend="vectorized", shards=4),
             "remote-N1": _release(backend="remote", nodes=1, shards=4),
             "remote-N2": _release(backend="remote", nodes=2, shards=4),
@@ -119,9 +118,10 @@ class TestDeterminismMatrix:
 
     def test_worker_count_never_moves_bits(self):
         """K is deployment geometry: uneven shard/node splits included
-        (``workers`` sets the default node count of the remote backend)."""
+        (``nodes`` also sets the remote backend's default shard count,
+        which the explicit ``shards`` overrides)."""
         releases = {
-            k: _release(backend="remote", workers=k, shards=6)
+            k: _release(backend="remote", nodes=k, shards=6)
             for k in (1, 2, 3, 4, 6)
         }
         assert len(set(releases.values())) == 1, releases
@@ -135,6 +135,41 @@ class TestDeterminismMatrix:
         releases["serial"] = _release(backend="serial", shards=6)
         assert len(set(releases.values())) == 1, releases
 
+    def test_process_node_imports_programs_from_a_caller_pythonpath(
+        self, tmp_path, monkeypatch, request
+    ):
+        """A caller's ``env`` PYTHONPATH joins the node's own import
+        path, so the node still imports this package and can unpickle
+        a per-block program defined outside it."""
+        (tmp_path / "caller_side_program.py").write_text(
+            "import numpy as np\n"
+            "\n"
+            "def block_mean(block):\n"
+            "    return float(np.mean(block))\n"
+            "\n"
+            "block_mean.output_dimension = 1\n"
+        )
+        monkeypatch.syspath_prepend(str(tmp_path))
+        request.addfinalizer(lambda: sys.modules.pop("caller_side_program", None))
+        from caller_side_program import block_mean
+
+        metrics = MetricsRegistry()
+        with local_node_cluster(
+            1, spawn="process", env={"PYTHONPATH": str(tmp_path)}
+        ) as cluster:
+            computation = ComputationManager(
+                backend="remote", nodes=cluster.addresses, metrics=metrics
+            )
+            released, num_blocks = _release(
+                computation=computation, metrics=metrics, program=block_mean
+            )
+        counters = metrics.snapshot()["counters"]
+        assert counters["remote.queries"] == 1
+        assert counters["blocks.success"] == num_blocks
+        assert (released, num_blocks) == _release(
+            backend="serial", program=block_mean
+        )
+
     def test_remote_subprocess_nodes_agree(self):
         """Real node processes over TCP release the same bits as serial."""
         remote = RemoteShardBackend(
@@ -142,7 +177,7 @@ class TestDeterminismMatrix:
         )
         try:
             computation = ComputationManager(
-                backend="remote", max_workers=2, shards=4, sharded=remote
+                backend="remote", shards=4, sharded=remote
             )
             over_tcp = _release(computation=computation)
         finally:
@@ -152,7 +187,7 @@ class TestDeterminismMatrix:
     def test_single_shard_matches_legacy_protocol(self):
         """S=1 is *defined* as the pre-sharding plan protocol."""
         assert _release(backend="serial") == _release(
-            backend="remote", workers=1, shards=1
+            backend="remote", nodes=1, shards=1
         )
 
     def test_shard_count_is_a_public_plan_parameter(self):
@@ -163,7 +198,7 @@ class TestDeterminismMatrix:
 
     def test_fast_path_actually_ran(self):
         metrics = MetricsRegistry()
-        _release(backend="remote", workers=2, shards=4, metrics=metrics)
+        _release(backend="remote", nodes=2, shards=4, metrics=metrics)
         counters = metrics.snapshot()["counters"]
         assert counters["remote.queries"] == 1
         assert not any(k.startswith("sharded.fallbacks") for k in counters)
@@ -269,8 +304,8 @@ class TestSelfHealing:
     def test_crash_during_query_substitutes_fallback_rows(self):
         """A program that kills its node on one shard's data: the query
         still completes, the dead shard resolving to fallback rows —
-        the same data-independent outcome the pool backend gives killed
-        blocks — while the other shard's partial survives."""
+        the same data-independent outcome a chamber gives killed blocks
+        — while the other shard's partial survives."""
         # Shard 0 owns the negative half; every block drawn from it
         # kills the node running it (node 0, then the node it was
         # re-assigned to, after that node answered its own shard 1).
@@ -286,10 +321,7 @@ class TestSelfHealing:
         # Node subprocesses unpickle the program by reference, so they
         # need this test module importable.
         with local_node_cluster(
-            2, spawn="process", env={"PYTHONPATH": os.pathsep.join(
-                p for p in (os.path.join(REPO_ROOT, "src"), REPO_ROOT,
-                            os.environ.get("PYTHONPATH")) if p
-            )},
+            2, spawn="process", env={"PYTHONPATH": REPO_ROOT}
         ) as cluster:
             computation = ComputationManager(
                 backend="remote", shards=2, nodes=cluster.addresses,
@@ -325,7 +357,7 @@ class TestDegrades:
 
         metrics = MetricsRegistry()
         remote = _release(
-            backend="remote", workers=2, shards=3,
+            backend="remote", nodes=2, shards=3,
             metrics=metrics, program=make_program(),
         )
         serial = _release(backend="serial", shards=3, program=make_program())
@@ -340,7 +372,7 @@ class TestDegrades:
             chamber=InProcessChamber(
                 timing=TimingDefense(cycle_budget=30.0, pad=False)
             ),
-            backend="remote", shards=3, max_workers=2,
+            backend="remote", shards=3, nodes=2,
             metrics=metrics,
         )
         remote = _release(computation=guarded, metrics=metrics)
@@ -365,7 +397,7 @@ class TestDegrades:
             manager = DatasetManager()
             manager.register("data", table, total_budget=100.0)
             runtime = GuptRuntime(
-                manager, rng=SEED, backend=backend, workers=2, shards=2,
+                manager, rng=SEED, backend=backend, nodes=2, shards=2,
                 metrics=metrics,
             )
             try:
@@ -438,13 +470,17 @@ class TestValidation:
         assert manager.sharded_backend is None
 
     def test_sharded_default_is_one_shard_per_worker(self):
-        manager = ComputationManager(backend="remote", max_workers=3)
-        try:
-            assert manager.plan_shards == 3
-            assert manager.sharded_backend.shards == 3
-            assert manager.sharded_backend.nodes == 3
-        finally:
-            manager.close()
+        """One logical shard per spawned node; addresses default to 1."""
+        with local_node_cluster(2) as cluster:
+            for nodes, shards, node_count in (
+                (3, 3, 3),
+                (None, 1, 1),
+                (cluster.addresses, 1, 2),
+            ):
+                with ComputationManager(backend="remote", nodes=nodes) as manager:
+                    assert manager.plan_shards == shards
+                    assert manager.sharded_backend.shards == shards
+                    assert manager.sharded_backend.nodes == node_count
 
 
 class TestFederatedDeterminism:

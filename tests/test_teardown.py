@@ -5,10 +5,8 @@ explicit ``close()`` calls, ``GuptService.close`` cascading into
 ``GuptRuntime.close`` cascading into the backends, ``__del__`` as a
 last resort.  A double release of worker processes, node sessions or
 shared-memory segments is a crash; a *skipped* release is a leak.  These regression
-tests pin the contract at every layer: closing twice is a no-op, the
-expensive teardown happens exactly once, and — for the pool backend,
-which is restartable by design — closing does not wedge the owner
-against a later run.
+tests pin the contract at every layer: closing twice is a no-op and the
+expensive teardown happens exactly once.
 """
 
 import pickle
@@ -89,32 +87,12 @@ class TestShardedBackendTeardown:
 
 class TestComputationManagerTeardown:
     def test_sharded_manager_double_close(self):
-        manager = ComputationManager(backend="remote", shards=2, max_workers=2)
+        manager = ComputationManager(backend="remote", shards=2, nodes=2)
         backend = manager.sharded_backend
         assert backend._session(0) is not None
         manager.close()
         manager.close()
         assert backend._closed
-
-    def test_pool_backend_survives_close_run_close(self):
-        """The pool restarts transparently after close; the manager must
-        not remember a close and skip the next one (that would leak the
-        restarted workers)."""
-        manager = ComputationManager(backend="pool", max_workers=1)
-
-        def run_once():
-            values = np.random.default_rng(0).uniform(0, 10, size=(40, 1))
-            blocks = [values[i * 10 : (i + 1) * 10] for i in range(4)]
-            results = manager.run_blocks(Mean(), blocks, 1, np.zeros(1))
-            assert all(r.succeeded for r in results)
-
-        run_once()
-        manager.close()
-        run_once()  # transparently restarts the pool
-        pool = manager._pool
-        assert pool._workers, "pool did not restart"
-        manager.close()  # second close must still stop the new workers
-        assert not pool._workers
 
 
 class TestRuntimeTeardown:
@@ -142,7 +120,7 @@ class TestRuntimeTeardown:
 
 class TestServiceTeardown:
     def _service(self) -> GuptService:
-        service = GuptService(rng=0, backend="remote", shards=2, workers=2)
+        service = GuptService(rng=0, backend="remote", shards=2, nodes=2)
         owner = service.enroll(OWNER, "o")
         service.register_dataset(owner.token, "d", _table(), total_budget=10.0)
         return service

@@ -3,7 +3,7 @@
 Three layers: the batch primitives (stacking, batch execution, fallback
 substitution), the computation manager's backend selection with its
 counted fallback hierarchy, and the end-to-end guarantees — bit-identical
-releases across the full serial/pool/vectorized matrix for the
+releases across the full serial/vectorized/remote matrix for the
 same seeded request, and release-safe telemetry.
 """
 
@@ -348,7 +348,7 @@ class TestDeterminismMatrix:
     @staticmethod
     def _service(backend):
         service = GuptService(
-            metrics=MetricsRegistry(), rng=31337, backend=backend, workers=2
+            metrics=MetricsRegistry(), rng=31337, backend=backend
         )
         owner = service.enroll(OWNER)
         analyst = service.enroll(ANALYST)
@@ -383,8 +383,8 @@ class TestDeterminismMatrix:
         released = {b: self._run(b, Mean()) for b in BACKENDS}
         assert (
             released["serial"]
-            == released["pool"]
             == released["vectorized"]
+            == released["remote"]
         )
 
     def test_matrix_holds_for_median(self):

@@ -1,17 +1,19 @@
 """Shared result schema for the ``BENCH_*.json`` artifacts.
 
-Every benchmark in this directory publishes a JSON report at the repo
-root, and CI uploads them as artifacts; comparing runs across commits
-only works if each report says *what* ran and *where*.  All writers go
-through :func:`write_bench`, which stamps a common envelope:
+Two benchmarks here publish a JSON report at the repo root — Figure 6's
+backend sweep (``BENCH_scalability.json``) and the observability
+overhead bench (``BENCH_observability.json``) — and CI uploads them as
+artifacts; comparing runs across commits only works if each report
+says *what* ran and *where*.  Both go through :func:`write_bench`,
+which stamps a common envelope:
 
 ``schema_version``
     Version of this envelope (bump when a shared key changes meaning).
 ``bench``
     Stable benchmark identifier (CI dispatches on it).
 ``mode``
-    ``"smoke"`` (CI-sized) or ``"full"`` — the scale-gate convention all
-    benches share via their ``*_SCALE`` environment variables.
+    ``"smoke"`` (CI-sized) or ``"full"`` — chosen by a bench's scale
+    variable where it has one (``SCALABILITY_SCALE=smoke`` for Figure 6).
 ``git_rev`` / ``git_dirty``
     Commit under test, and whether the tree had local modifications.
 ``generated_at``
@@ -23,8 +25,8 @@ through :func:`write_bench`, which stamps a common envelope:
     The benchmark's own knobs (sizes, seeds, epsilon, ...).
 
 Benchmark-specific payload keys stay at the *top level*, merged after
-the envelope, so existing CI validation snippets (``report["results"]``,
-``report["queries_per_second"]``, ...) keep working unchanged.
+the envelope, so CI validation snippets read them directly
+(``report["results"]``, ``report["identical_released_values"]``, ...).
 """
 
 from __future__ import annotations

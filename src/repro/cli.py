@@ -334,26 +334,31 @@ def _execute_query(args, metrics: MetricsRegistry | None = None):
     return result, manager
 
 
-def _missing_query_args(args) -> bool:
-    """Validate --program/--range presence for query-running commands."""
+def _query_usage_error(args) -> bool:
+    """Print the first usage error of a query-running command, if any.
+
+    ``query``, ``stats`` and ``serve`` share these checks: --program and
+    --range present, exactly one of --epsilon / --accuracy, and a
+    --threshold for count-above.
+    """
     missing = [
         flag for flag, value in (("--program", args.program), ("--range", args.range))
         if value is None
     ]
     if missing:
-        print(f"error: {' and '.join(missing)} required here", file=sys.stderr)
-        return True
-    return False
+        error = f"{' and '.join(missing)} required here"
+    elif (args.epsilon is None) == (args.accuracy is None):
+        error = "pass exactly one of --epsilon / --accuracy"
+    elif args.program == "count-above" and args.threshold is None:
+        error = "count-above needs --threshold"
+    else:
+        return False
+    print(f"error: {error}", file=sys.stderr)
+    return True
 
 
 def run_query(args) -> int:
-    if _missing_query_args(args):
-        return 2
-    if (args.epsilon is None) == (args.accuracy is None):
-        print("error: pass exactly one of --epsilon / --accuracy", file=sys.stderr)
-        return 2
-    if args.program == "count-above" and args.threshold is None:
-        print("error: count-above needs --threshold", file=sys.stderr)
+    if _query_usage_error(args):
         return 2
 
     result, manager = _execute_query(args)
@@ -367,13 +372,7 @@ def run_query(args) -> int:
 
 
 def run_stats(args) -> int:
-    if _missing_query_args(args):
-        return 2
-    if (args.epsilon is None) == (args.accuracy is None):
-        print("error: pass exactly one of --epsilon / --accuracy", file=sys.stderr)
-        return 2
-    if args.program == "count-above" and args.threshold is None:
-        print("error: count-above needs --threshold", file=sys.stderr)
+    if _query_usage_error(args):
         return 2
 
     # A fresh registry per invocation: the snapshot describes exactly
@@ -454,13 +453,7 @@ def run_serve_http(args) -> int:
 def run_serve(args) -> int:
     if args.http is not None:
         return run_serve_http(args)
-    if _missing_query_args(args):
-        return 2
-    if (args.epsilon is None) == (args.accuracy is None):
-        print("error: pass exactly one of --epsilon / --accuracy", file=sys.stderr)
-        return 2
-    if args.program == "count-above" and args.threshold is None:
-        print("error: count-above needs --threshold", file=sys.stderr)
+    if _query_usage_error(args):
         return 2
     if args.analysts < 1 or args.queries < 1:
         print("error: --analysts and --queries must be >= 1", file=sys.stderr)

@@ -54,6 +54,7 @@ import select
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -121,6 +122,17 @@ class _NodeSession:
             pass
 
 
+#: How much of a process node's stderr a start-up failure carries.
+_STDERR_TAIL_BYTES = 2048
+
+
+def _stderr_tail(log) -> str:
+    """The last :data:`_STDERR_TAIL_BYTES` a node wrote to ``log``."""
+    log.seek(0, os.SEEK_END)
+    log.seek(max(0, log.tell() - _STDERR_TAIL_BYTES))
+    return log.read().decode("utf-8", "replace").strip()
+
+
 class LocalNodeCluster:
     """A convenience cluster of shard nodes owned by this process.
 
@@ -133,7 +145,9 @@ class LocalNodeCluster:
     ``env`` adds variables to subprocess nodes (e.g. arming
     ``REPRO_FAILPOINTS`` in a victim node); a ``PYTHONPATH`` there is
     appended to the node's own import path rather than replacing it
-    (e.g. a directory holding the analyst program's module).
+    (e.g. a directory holding the analyst program's module).  A
+    subprocess node that dies before announcing its port raises a
+    :class:`ComputationError` carrying the tail of its stderr.
     """
 
     def __init__(
@@ -161,6 +175,7 @@ class LocalNodeCluster:
         self.addresses: list[tuple[str, int]] = []
         self._servers: list[ShardNodeServer] = []
         self._processes: list[subprocess.Popen] = []
+        self._stderr_logs: list = []
         if spawn == "thread":
             for index in range(count):
                 server = ShardNodeServer(
@@ -185,10 +200,14 @@ class LocalNodeCluster:
         )
         secret_env = {} if secret is None else {"REPRO_SHARD_SECRET": secret}
         for _ in range(count):
+            # An unlinked file, not a pipe: nothing drains a node's
+            # stderr, and a full pipe would block a chatty node.
+            log = tempfile.TemporaryFile()
+            self._stderr_logs.append(log)
             process = subprocess.Popen(
                 [sys.executable, "-m", "repro", "shard-node", "127.0.0.1:0"],
                 stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
+                stderr=log,
                 text=True,
                 env={
                     **os.environ,
@@ -197,15 +216,19 @@ class LocalNodeCluster:
                     "PYTHONPATH": node_path,
                 },
             )
+            self._processes.append(process)
             line = process.stdout.readline().strip()
             parts = line.split()
             if len(parts) != 3 or parts[0] != "LISTENING":
                 process.kill()
+                process.wait()
+                tail = _stderr_tail(log)
+                self.stop()
                 raise ComputationError(
                     f"shard-node did not announce its port (got {line!r})"
+                    + (f"; node stderr:\n{tail}" if tail else "")
                 )
             self.addresses.append((parts[1], int(parts[2])))
-            self._processes.append(process)
 
     def stop(self) -> None:
         for server in self._servers:
@@ -221,6 +244,9 @@ class LocalNodeCluster:
                 process.kill()
                 process.wait(timeout=5.0)
         self._processes = []
+        for log in self._stderr_logs:
+            log.close()
+        self._stderr_logs = []
 
     def __enter__(self) -> "LocalNodeCluster":
         return self
@@ -655,10 +681,6 @@ class RemoteShardBackend:
                 "num_dimensions": geometry["columns"],
                 "node_rows": rows_per_node,
             }
-
-    def federated_geometry(self, name: str) -> dict | None:
-        """The registered federated geometry of ``name`` (or None)."""
-        return self._federated.get(name)
 
     def _federated_owned(self, fed: dict, spec) -> list[list[int]]:
         """Per-node lists of the logical shards each curator holds."""

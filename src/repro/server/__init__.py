@@ -12,9 +12,7 @@ transactional accounting layer):
   asyncio HTTP/1.1 server (no framework dependency) with SSE streaming
   of query progress and results.
 * :mod:`repro.server.client` — :class:`GuptClient`, a blocking stdlib
-  client used by tests, the load generator and examples.
-* :mod:`repro.server.loadgen` — a concurrent-analyst load generator
-  producing sustained-throughput and tail-latency measurements.
+  client used by tests, perfbench and examples.
 """
 
 from repro.server.client import Backpressure, GuptClient, ServerError

@@ -2,8 +2,8 @@
 
 Built on :mod:`http.client` only (the container ships no httpx/aiohttp),
 one persistent keep-alive connection per instance.  Instances are *not*
-thread-safe — the load generator gives each analyst thread its own
-client, which is also the realistic traffic shape.
+thread-safe — give each analyst thread its own client, which is also
+the realistic traffic shape.
 
 Error handling mirrors the in-process service exactly:
 

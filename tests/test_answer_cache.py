@@ -80,6 +80,23 @@ class TestReplayBitIdentity:
         assert first.output_ranges == second.output_ranges
         np.testing.assert_array_equal(first.noise_scales, second.noise_scales)
 
+    def test_hit_executes_no_blocks(self):
+        registry = MetricsRegistry()
+        with GuptRuntime(
+            _manager(), rng=SEED, backend="vectorized", metrics=registry,
+            answer_cache_size=16,
+        ) as runtime:
+            first = _run(runtime)
+            counters = registry.snapshot()["counters"]
+            executed, batches = counters["blocks.executed"], counters["vectorized.batches"]
+            second = _run(runtime)
+            counters = registry.snapshot()["counters"]
+        assert executed > 0 and batches == 1
+        assert second.cached
+        np.testing.assert_array_equal(first.value, second.value)
+        assert counters["blocks.executed"] == executed
+        assert counters["vectorized.batches"] == batches
+
     def test_cache_check_consumes_no_draws(self):
         # The enabled-but-missing and disabled paths must release the
         # same bits: the cache probe happens before any generator use.

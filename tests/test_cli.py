@@ -61,13 +61,6 @@ class TestQuery:
         value = float(capsys.readouterr().out.split("count-above:")[1].split()[0])
         assert 0.0 <= value <= 1.0
 
-    def test_count_above_requires_threshold(self, ages_csv, capsys):
-        code = main([
-            "query", "--data", str(ages_csv), "--program", "count-above",
-            "--range", "0", "1", "--epsilon", "1.0",
-        ])
-        assert code == 2
-
     def test_accuracy_goal_path(self, ages_csv, capsys):
         code = main([
             "query", "--data", str(ages_csv), "--program", "mean",
@@ -76,14 +69,6 @@ class TestQuery:
         ])
         assert code == 0
         assert "derived from accuracy goal" in capsys.readouterr().out
-
-    def test_epsilon_and_accuracy_both_rejected(self, ages_csv, capsys):
-        code = main([
-            "query", "--data", str(ages_csv), "--program", "mean",
-            "--range", "0", "150", "--epsilon", "1.0",
-            "--accuracy", "0.9", "0.1",
-        ])
-        assert code == 2
 
     def test_budget_exhaustion_reported(self, ages_csv, capsys):
         code = main([
@@ -133,6 +118,53 @@ class TestQuery:
         assert at_two != released("--backend", "serial")
 
 
+class TestUsage:
+    """``query``, ``stats`` and ``serve`` share one usage check: exit 2."""
+
+    @pytest.mark.parametrize("command", ["query", "stats", "serve"])
+    def test_count_above_requires_threshold(self, ages_csv, capsys, command):
+        code = main([
+            command, "--data", str(ages_csv), "--program", "count-above",
+            "--range", "0", "1", "--epsilon", "1.0",
+        ])
+        assert code == 2
+        assert "error: count-above needs --threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["query", "stats", "serve"])
+    def test_epsilon_and_accuracy_both_rejected(self, ages_csv, capsys, command):
+        code = main([
+            command, "--data", str(ages_csv), "--program", "mean",
+            "--range", "0", "150", "--epsilon", "1.0",
+            "--accuracy", "0.9", "0.1",
+        ])
+        assert code == 2
+        assert (
+            "error: pass exactly one of --epsilon / --accuracy"
+            in capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("command", ["query", "stats", "serve"])
+    def test_epsilon_or_accuracy_required(self, ages_csv, capsys, command):
+        code = main([
+            command, "--data", str(ages_csv), "--program", "mean",
+            "--range", "0", "150",
+        ])
+        assert code == 2
+        assert (
+            "error: pass exactly one of --epsilon / --accuracy"
+            in capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("command", ["query", "stats", "serve"])
+    def test_program_and_range_required(self, ages_csv, capsys, command):
+        code = main([command, "--data", str(ages_csv), "--epsilon", "1.0"])
+        assert code == 2
+        assert (
+            "error: --program and --range required here"
+            in capsys.readouterr().err
+        )
+
+
 class TestStats:
     def test_stats_prints_observability_snapshot(self, ages_csv, capsys):
         code = main([
@@ -177,21 +209,6 @@ class TestStats:
         for snapshot in snapshots:
             assert snapshot["counters"]['runtime.queries{dataset="cli"}'] == 1
 
-    def test_stats_validates_epsilon_accuracy_exclusivity(self, ages_csv, capsys):
-        code = main([
-            "stats", "--data", str(ages_csv), "--program", "mean",
-            "--range", "0", "150", "--epsilon", "1.0",
-            "--accuracy", "0.9", "0.1",
-        ])
-        assert code == 2
-
-    def test_stats_count_above_requires_threshold(self, ages_csv, capsys):
-        code = main([
-            "stats", "--data", str(ages_csv), "--program", "count-above",
-            "--range", "0", "1", "--epsilon", "1.0",
-        ])
-        assert code == 2
-
 
 class TestServe:
     def test_serve_exact_fit_budget(self, ages_csv, capsys):
@@ -224,13 +241,6 @@ class TestServe:
         out = capsys.readouterr().out
         assert "completed     : " in out
         assert "queue depth   : 0 after drain" in out
-
-    def test_serve_validates_epsilon_accuracy_exclusivity(self, ages_csv, capsys):
-        code = main([
-            "serve", "--data", str(ages_csv), "--program", "mean",
-            "--range", "0", "150",
-        ])
-        assert code == 2
 
     def test_serve_validates_traffic_shape(self, ages_csv, capsys):
         code = main([

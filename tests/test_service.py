@@ -65,6 +65,34 @@ class TestOwnerInterface:
         with pytest.raises(GuptError):
             service.register_dataset(analyst.token, "d", table, total_budget=1.0)
 
+    def test_owner_registers_curator_held_dataset(self, rng):
+        from repro.runtime.remote import local_node_cluster
+
+        values = rng.uniform(0.0, 100.0, size=(600, 1))
+        curated = [{"curated": values[:400]}, {"curated": values[400:]}]
+        with local_node_cluster(2, curated=curated) as cluster:
+            service = GuptService(
+                rng=0, backend="remote", nodes=cluster.addresses, shards=6
+            )
+            try:
+                owner = service.enroll(OWNER)
+                analyst = service.enroll(ANALYST)
+                registered = service.register_federated_dataset(
+                    owner.token, "curated", total_budget=2.0,
+                    input_ranges=[(0.0, 100.0)],
+                )
+                described = service.describe_dataset(analyst.token, "curated")
+                with pytest.raises(GuptError):
+                    service.register_federated_dataset(
+                        analyst.token, "other", total_budget=1.0
+                    )
+            finally:
+                service.close()
+        assert registered.num_records == described.num_records == 600
+        assert described.num_dimensions == 1
+        assert described.remaining_budget == 2.0
+        assert service.list_datasets(owner.token) == ["curated"]
+
     def test_owner_reads_ledger(self, service, owner, analyst, registered):
         service.execute(
             analyst.token,

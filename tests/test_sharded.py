@@ -204,6 +204,33 @@ class TestDeterminismMatrix:
         assert not any(k.startswith("sharded.fallbacks") for k in counters)
 
 
+class TestSegmentResidency:
+    def test_warm_queries_push_no_segments(self):
+        """Rows cross the wire once per shard: after the cold query,
+        repeats move only plans, programs and partials."""
+        metrics = MetricsRegistry()
+        manager = DatasetManager()
+        manager.register(
+            "data", DataTable(_values(), input_ranges=[(0.0, 100.0)]),
+            total_budget=100.0,
+        )
+        with GuptRuntime(
+            manager, rng=SEED, backend="remote", nodes=2, shards=4,
+            metrics=metrics,
+        ) as runtime:
+            releases = [
+                tuple(runtime.run(
+                    "data", Mean(), TightRange((0.0, 100.0)), epsilon=EPSILON,
+                    block_size=BLOCK_SIZE, rng=QUERY_SEED,
+                ).value)
+                for _ in range(4)
+            ]
+        counters = metrics.snapshot()["counters"]
+        assert counters["remote.segment_pushes"] == 4
+        assert counters.get("remote.degraded_queries", 0) == 0
+        assert len(set(releases)) == 1, releases
+
+
 class TestCombineProtocol:
     def test_combined_plan_is_shard_major_concatenation(self):
         combined = draw_sharded_plan(
@@ -463,6 +490,13 @@ class TestValidation:
                 block_size=10, resampling_factor=1, plan_seed=0,
                 output_dimension=1, fallback=np.zeros(1),
             )
+
+    def test_process_node_start_failure_carries_its_stderr(self, tmp_path):
+        """A node that dies before announcing its port reports why."""
+        (tmp_path / "numpy.py").write_text('raise ImportError("boom")\n')
+        with pytest.raises(ComputationError, match="did not announce") as info:
+            local_node_cluster(1, spawn="process", env={"PYTHONPATH": str(tmp_path)})
+        assert "boom" in str(info.value)
 
     def test_serial_backends_honor_the_shards_knob(self):
         manager = ComputationManager(backend="serial", shards=3)

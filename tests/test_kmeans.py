@@ -2,8 +2,81 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.estimators.kmeans import KMeans, intra_cluster_variance, sort_centers
+
+
+# Reference: the row-major implementation the column-major kernel
+# replaced, kept verbatim (methods turned into functions of the program)
+# so the property below can require bit-identical output.
+
+
+def _reference_icv(data, centers):
+    data = np.asarray(data, dtype=float)
+    centers = np.asarray(centers, dtype=float)
+    if centers.ndim == 1:
+        centers = centers.reshape(1, -1)
+    distances = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return float(distances.min(axis=1).mean())
+
+
+def _reference_fit(program, data):
+    data = np.asarray(data, dtype=float)
+    if data.ndim == 1:
+        data = data.reshape(-1, 1)
+    if data.shape[1] != program.num_features:
+        raise ValueError(
+            f"expected {program.num_features} features, got {data.shape[1]}"
+        )
+    best_centers = None
+    best_icv = np.inf
+    for restart in range(program.restarts):
+        centers = _reference_lloyd(program, data, seed=program.seed + restart)
+        icv = _reference_icv(data, centers)
+        if icv < best_icv:
+            best_icv = icv
+            best_centers = centers
+    return best_centers
+
+
+def _reference_lloyd(program, data, seed):
+    centers = program.initial_centers(data, seed=seed)
+    for _ in range(program.iterations):
+        previous = centers.copy()
+        distances = ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assignment = distances.argmin(axis=1)
+        for cluster in range(program.num_clusters):
+            members = data[assignment == cluster]
+            if members.shape[0] > 0:
+                centers[cluster] = members.mean(axis=0)
+        if program.tol > 0 and float(np.abs(centers - previous).max()) < program.tol:
+            break
+    return centers
+
+
+def _assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def _block(kind, n, d, seed):
+    """Test data: Gaussian, integer-rounded (ties, empty clusters),
+    sprinkled with -0.0, with an all -0.0 column, or with one inf."""
+    rng = np.random.default_rng(seed)
+    data = rng.normal(0.0, 3.0, size=(n, d))
+    if kind != "gaussian":
+        data = np.round(data)
+    if kind == "negative_zeros":
+        data[rng.random((n, d)) < 0.3] = -0.0
+    elif kind == "negative_zero_column":
+        data[:, rng.integers(d)] = -0.0
+    elif kind == "inf":
+        data[rng.integers(n), rng.integers(d)] = np.inf
+    return data
 
 
 @pytest.fixture
@@ -85,6 +158,18 @@ class TestKMeans:
         out = program(np.array([[1.0], [2.0]]))
         assert out.shape == (4,)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow
+    def test_no_finite_restart_is_a_value_error(self):
+        # Every squared distance to the +-1e200 rows overflows to inf, so
+        # no restart reaches a finite ICV; fit used to return None and
+        # __call__ then failed on ``None.ravel()``.
+        data = [[1e200, 0], [-1e200, 1], [3, 2], [4, 1]]
+        program = KMeans(2, 2, iterations=3)
+        with pytest.raises(ValueError, match="finite intra-cluster variance"):
+            program.fit(data)
+        with pytest.raises(ValueError, match="finite intra-cluster variance"):
+            program(data)
+
     def test_feature_mismatch_rejected(self):
         with pytest.raises(ValueError):
             KMeans(num_clusters=2, num_features=3).fit(np.zeros((10, 2)))
@@ -98,3 +183,47 @@ class TestKMeans:
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             KMeans(**kwargs)
+
+
+class TestBitIdentity:
+    """The column-major kernel releases the reference's exact bits."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        d=st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 16, 17]),
+        k=st.integers(1, 6),
+        n=st.integers(1, 300),
+        tol=st.sampled_from([0.0, 1e-7, 1e-3]),
+        restarts=st.sampled_from([1, 2, 5, 40]),
+        iterations=st.integers(1, 8),
+        seed=st.integers(0, 2**16),
+        kind=st.sampled_from(
+            ["gaussian", "integers", "negative_zeros", "negative_zero_column", "inf"]
+        ),
+    )
+    def test_matches_reference(self, d, k, n, tol, restarts, iterations, seed, kind):
+        data = _block(kind, n, d, seed)
+        program = KMeans(
+            k, d, iterations=iterations, seed=seed, tol=tol, restarts=restarts
+        )
+        try:
+            expected = _reference_fit(program, data)
+        except Exception as exc:  # the new code must fail the same way
+            with pytest.raises(type(exc)):
+                program.fit(data)
+            return
+        if expected is None:
+            # The reference returned None (every restart's ICV was
+            # non-finite) and its __call__ then crashed; now both raise.
+            with pytest.raises(ValueError, match="finite"):
+                program.fit(data)
+            with pytest.raises(ValueError, match="finite"):
+                program(data)
+            return
+        _assert_same_bits(program.fit(data), expected)
+        _assert_same_bits(program(data), sort_centers(expected.ravel(), k, d))
+        centers = np.random.default_rng(seed + 1).normal(0.0, 3.0, size=(k, d))
+        _assert_same_bits(
+            intra_cluster_variance(data, centers), _reference_icv(data, centers)
+        )

@@ -21,93 +21,54 @@ sample-and-aggregate framework.  Quickstart::
     )
     print(result.scalar())          # private average age
     print(manager.remaining_budget("census"))
+
+The names above resolve on first access (see :mod:`repro._lazy`).  A
+bare ``import repro``, which every ``repro.*`` import runs first, loads
+nothing else, so a shard node that imports the node tier never loads
+the accounting tier, the datasets or the engine.
 """
 
-from repro.accounting import DatasetManager, PrivacyBudget, PrivacyLedger
-from repro.core import (
-    AccuracyGoal,
-    AgedData,
-    BlockPlan,
-    BlockSizeSearch,
-    BudgetDistributor,
-    GuptResult,
-    GuptRuntime,
-    GuptSession,
-    HelperRange,
-    LooseOutputRange,
-    OutputRange,
-    QuerySpec,
-    SampleAggregateEngine,
-    TightRange,
-    estimate_epsilon,
-    grouped_plan,
-    split_by_age,
-)
-from repro.datasets import DataTable, census_adult, internet_ads, life_sciences
-from repro.exceptions import (
-    AccuracyGoalInfeasible,
-    ComputationError,
-    GuptError,
-    InvalidPrivacyParameter,
-    InvalidRange,
-    PrivacyBudgetExhausted,
-    SandboxViolation,
-)
-from repro.observability import (
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-    use_registry,
-)
-from repro.runtime import (
-    ComputationManager,
-    InProcessChamber,
-    MACPolicy,
-    SubprocessChamber,
-    TimingDefense,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AccuracyGoal",
-    "AccuracyGoalInfeasible",
-    "AgedData",
-    "BlockPlan",
-    "BlockSizeSearch",
-    "BudgetDistributor",
-    "ComputationError",
-    "ComputationManager",
-    "DataTable",
-    "DatasetManager",
-    "GuptError",
-    "GuptResult",
-    "GuptRuntime",
-    "GuptSession",
-    "HelperRange",
-    "InProcessChamber",
-    "InvalidPrivacyParameter",
-    "InvalidRange",
-    "LooseOutputRange",
-    "MACPolicy",
-    "MetricsRegistry",
-    "OutputRange",
-    "PrivacyBudget",
-    "PrivacyBudgetExhausted",
-    "PrivacyLedger",
-    "QuerySpec",
-    "SampleAggregateEngine",
-    "SandboxViolation",
-    "SubprocessChamber",
-    "TightRange",
-    "TimingDefense",
-    "census_adult",
-    "estimate_epsilon",
-    "get_registry",
-    "grouped_plan",
-    "internet_ads",
-    "life_sciences",
-    "set_registry",
-    "split_by_age",
-    "use_registry",
-]
+_EXPORTS = {
+    "repro.accounting.budget": ("PrivacyBudget",),
+    "repro.accounting.ledger": ("PrivacyLedger",),
+    "repro.accounting.manager": ("DatasetManager",),
+    "repro.core.aggregation": ("OutputRange",),
+    "repro.core.aging": ("AgedData", "split_by_age"),
+    "repro.core.block_size": ("BlockSizeSearch",),
+    "repro.core.blocks": ("BlockPlan",),
+    "repro.core.budget_distribution": ("BudgetDistributor", "QuerySpec"),
+    "repro.core.budget_estimation": ("AccuracyGoal", "estimate_epsilon"),
+    "repro.core.gupt": ("GuptRuntime",),
+    "repro.core.range_estimation": ("HelperRange", "LooseOutputRange", "TightRange"),
+    "repro.core.result": ("GuptResult",),
+    "repro.core.sample_aggregate": ("SampleAggregateEngine",),
+    "repro.core.session": ("GuptSession",),
+    "repro.core.user_level": ("grouped_plan",),
+    "repro.datasets.synthetic": ("census_adult", "internet_ads", "life_sciences"),
+    "repro.datasets.table": ("DataTable",),
+    "repro.exceptions": (
+        "AccuracyGoalInfeasible",
+        "ComputationError",
+        "GuptError",
+        "InvalidPrivacyParameter",
+        "InvalidRange",
+        "PrivacyBudgetExhausted",
+        "SandboxViolation",
+    ),
+    "repro.observability.metrics": (
+        "MetricsRegistry",
+        "get_registry",
+        "set_registry",
+        "use_registry",
+    ),
+    "repro.runtime.computation_manager": ("ComputationManager",),
+    "repro.runtime.policy": ("MACPolicy",),
+    "repro.runtime.sandbox": ("InProcessChamber", "SubprocessChamber"),
+    "repro.runtime.timing": ("TimingDefense",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

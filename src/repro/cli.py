@@ -34,26 +34,26 @@ import argparse
 import sys
 import threading
 
-from repro.accounting.manager import DatasetManager
-from repro.core.budget_estimation import AccuracyGoal
-from repro.core.gupt import GuptRuntime
-from repro.core.range_estimation import TightRange
-from repro.datasets.loaders import load_csv
-from repro.estimators.statistics import Count, Mean, Median, StandardDeviation, Variance
 from repro.exceptions import GuptError
 from repro.observability import MetricsRegistry
-from repro.runtime.computation_manager import BACKENDS
 
+# The coordinator tier (accounting, datasets, engine, computation
+# manager) is imported inside the commands that use it: ``shard-node``
+# is handed to the node tier before any of it loads (see main()).
+
+#: ``--program`` name -> estimator class in repro.estimators.statistics.
 PROGRAMS = {
-    "mean": Mean,
-    "median": Median,
-    "variance": Variance,
-    "std": StandardDeviation,
+    "mean": "Mean",
+    "median": "Median",
+    "variance": "Variance",
+    "std": "StandardDeviation",
 }
 
 
 def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
     """Options shared by the ``query`` and ``stats`` commands."""
+    from repro.runtime.computation_manager import BACKENDS
+
     parser.add_argument("--data", required=True, help="path to a CSV file")
     parser.add_argument(
         "--program", choices=sorted(PROGRAMS) + ["count-above"],
@@ -194,32 +194,15 @@ def build_parser() -> argparse.ArgumentParser:
              "epsilon (default: disabled)",
     )
 
-    shard_node = commands.add_parser(
+    # Listed for --help only: main() hands ``shard-node`` and its
+    # arguments to repro.runtime.remote.node.main before parsing.
+    commands.add_parser(
         "shard-node",
         help="run one shard-node worker process: binds HOST:PORT (port 0 "
              "picks an ephemeral port, announced on stdout as "
              "'LISTENING HOST PORT') and serves shard executions to a "
-             "'--backend remote' coordinator until shut down",
-    )
-    shard_node.add_argument(
-        "address", metavar="HOST:PORT",
-        help="bind address (use port 0 for an ephemeral port)",
-    )
-    shard_node.add_argument(
-        "--data", action="append", default=[], metavar="FILE",
-        help="curator mode: load this CSV/.npy file as node-held rows "
-             "(repeatable; pairs positionally with --dataset)",
-    )
-    shard_node.add_argument(
-        "--dataset", action="append", default=[], metavar="NAME",
-        help="dataset name advertised for the matching --data file "
-             "(repeatable)",
-    )
-    shard_node.add_argument(
-        "--secret", default=None, metavar="SECRET",
-        help="shared secret for mutual handshake authentication "
-             "(default: the REPRO_SHARD_SECRET environment variable); "
-             "unauthenticated coordinators are refused when set",
+             "'--backend remote' coordinator until shut down; see "
+             "'repro shard-node --help'",
     )
 
     fsck = commands.add_parser(
@@ -275,6 +258,8 @@ def _resolve_nodes(argument):
 
 
 def run_inspect(args) -> int:
+    from repro.datasets.loaders import load_csv
+
     table = load_csv(args.data)
     print(f"records   : {table.num_records}")
     print(f"dimensions: {table.num_dimensions}")
@@ -283,15 +268,23 @@ def run_inspect(args) -> int:
 
 
 def _build_program(args, column_index: int):
+    from repro.estimators import statistics
+
     if args.program == "count-above":
         if args.threshold is None:
             raise GuptError("count-above needs --threshold")
-        return Count(threshold=args.threshold, column=column_index)
-    return PROGRAMS[args.program](column=column_index)
+        return statistics.Count(threshold=args.threshold, column=column_index)
+    return getattr(statistics, PROGRAMS[args.program])(column=column_index)
 
 
 def _execute_query(args, metrics: MetricsRegistry | None = None):
     """Shared query path: returns ``(result, manager)`` or raises."""
+    from repro.accounting.manager import DatasetManager
+    from repro.core.budget_estimation import AccuracyGoal
+    from repro.core.gupt import GuptRuntime
+    from repro.core.range_estimation import TightRange
+    from repro.datasets.loaders import load_csv
+
     table = load_csv(args.data)
     column = _resolve_column(args.column)
     column_index = table._column_index(column)
@@ -387,6 +380,7 @@ def run_serve_http(args) -> int:
     """Stand up the real network front door over one CSV dataset."""
     import time
 
+    from repro.datasets.loaders import load_csv
     from repro.runtime.service import ANALYST, OWNER, GuptService
     from repro.server.http import GuptHttpServer
 
@@ -459,13 +453,15 @@ def run_serve(args) -> int:
         print("error: --analysts and --queries must be >= 1", file=sys.stderr)
         return 2
 
-    from repro.core.budget_estimation import AccuracyGoal as _Goal
+    from repro.core.budget_estimation import AccuracyGoal
+    from repro.core.range_estimation import TightRange
+    from repro.datasets.loaders import load_csv
     from repro.runtime.service import ANALYST, OWNER, GuptService, QueryRequest
 
     table = load_csv(args.data)
     column_index = table._column_index(_resolve_column(args.column))
     program = _build_program(args, column_index)
-    accuracy = _Goal(rho=args.accuracy[0], delta=args.accuracy[1]) if args.accuracy else None
+    accuracy = AccuracyGoal(rho=args.accuracy[0], delta=args.accuracy[1]) if args.accuracy else None
 
     registry = MetricsRegistry()
     service = GuptService(
@@ -568,6 +564,11 @@ def run_fsck(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["shard-node"]:
+        from repro.runtime.remote.node import main as shard_node_main
+
+        return shard_node_main(argv[1:])
     args = build_parser().parse_args(argv)
     try:
         if args.command == "inspect":
@@ -578,17 +579,6 @@ def main(argv: list[str] | None = None) -> int:
             return run_serve(args)
         if args.command == "fsck":
             return run_fsck(args)
-        if args.command == "shard-node":
-            from repro.runtime.remote.node import main as shard_node_main
-
-            node_argv = [args.address]
-            for path in args.data:
-                node_argv += ["--data", path]
-            for name in args.dataset:
-                node_argv += ["--dataset", name]
-            if args.secret is not None:
-                node_argv += ["--secret", args.secret]
-            return shard_node_main(node_argv)
         return run_query(args)
     except GuptError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,51 +10,33 @@
 * :mod:`repro.core.budget_distribution` — epsilon across queries (§5.2).
 * :mod:`repro.core.plan_cache` — memoized block plans and materializations.
 * :mod:`repro.core.gupt` — the :class:`GuptRuntime` facade.
+
+The names below resolve lazily (see :mod:`repro._lazy`): importing one
+submodule, as a shard node imports :mod:`repro.core.blocks`, loads that
+submodule and its own imports only, never the engine.
 """
 
-from repro.core.blocks import BlockPlan, blocks_per_round
-from repro.core.aggregation import NoisyAverageAggregator, OutputRange
-from repro.core.plan_cache import BlockPlanCache, PlanKey
-from repro.core.range_estimation import (
-    HelperRange,
-    LooseOutputRange,
-    RangeStrategy,
-    TightRange,
-)
-from repro.core.sample_aggregate import SampleAggregateEngine, SampleAggregateResult
-from repro.core.aging import AgedData, split_by_age
-from repro.core.block_size import BlockSizeSearch, BlockSizeChoice
-from repro.core.budget_estimation import AccuracyGoal, estimate_epsilon
-from repro.core.budget_distribution import BudgetDistributor, QuerySpec
-from repro.core.gupt import GuptRuntime
-from repro.core.session import GuptSession, PlannedQuery
-from repro.core.user_level import grouped_plan
-from repro.core.result import GuptResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccuracyGoal",
-    "AgedData",
-    "BlockPlan",
-    "BlockPlanCache",
-    "BlockSizeChoice",
-    "BlockSizeSearch",
-    "BudgetDistributor",
-    "GuptResult",
-    "GuptRuntime",
-    "GuptSession",
-    "HelperRange",
-    "LooseOutputRange",
-    "NoisyAverageAggregator",
-    "OutputRange",
-    "PlanKey",
-    "PlannedQuery",
-    "QuerySpec",
-    "RangeStrategy",
-    "SampleAggregateEngine",
-    "SampleAggregateResult",
-    "TightRange",
-    "blocks_per_round",
-    "estimate_epsilon",
-    "grouped_plan",
-    "split_by_age",
-]
+_EXPORTS = {
+    "repro.core.aggregation": ("NoisyAverageAggregator", "OutputRange"),
+    "repro.core.aging": ("AgedData", "split_by_age"),
+    "repro.core.block_size": ("BlockSizeChoice", "BlockSizeSearch"),
+    "repro.core.blocks": ("BlockPlan", "blocks_per_round"),
+    "repro.core.budget_distribution": ("BudgetDistributor", "QuerySpec"),
+    "repro.core.budget_estimation": ("AccuracyGoal", "estimate_epsilon"),
+    "repro.core.gupt": ("GuptRuntime",),
+    "repro.core.plan_cache": ("BlockPlanCache", "PlanKey"),
+    "repro.core.range_estimation": (
+        "HelperRange",
+        "LooseOutputRange",
+        "RangeStrategy",
+        "TightRange",
+    ),
+    "repro.core.result": ("GuptResult",),
+    "repro.core.sample_aggregate": ("SampleAggregateEngine", "SampleAggregateResult"),
+    "repro.core.session": ("GuptSession", "PlannedQuery"),
+    "repro.core.user_level": ("grouped_plan",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -16,45 +16,31 @@ with two chamber implementations and two data planes:
 * :mod:`~repro.runtime.remote` — the shard coordinator, the one
   multi-process data plane: logical shards execute on shard nodes
   (threads, ``repro shard-node`` processes on this box, or other hosts).
+
+The names below resolve lazily (see :mod:`repro._lazy`): a shard node
+imports the node tier through this package without loading the
+computation manager or the scheduler.
 """
 
-from repro.runtime.policy import MACPolicy
-from repro.runtime.sandbox import (
-    BlockExecution,
-    ExecutionChamber,
-    InProcessChamber,
-    SubprocessChamber,
-)
-from repro.runtime.timing import TimingDefense
-from repro.runtime.computation_manager import BACKENDS, ComputationManager
-from repro.runtime.marshal import ExternalProgram
-from repro.runtime.scheduler import QueryHandle, QueryScheduler
-from repro.runtime.vectorized import (
-    VectorizedProgram,
-    stack_blocks,
-    supports_batch,
-)
+from repro._lazy import lazy_exports
 
 # The hosted service layer (repro.runtime.service) sits ABOVE the core
 # runtime — it wraps GuptRuntime — so it is imported by its full module
-# path rather than re-exported here, which would create an import cycle
-# (runtime -> service -> core -> runtime).  The scheduler is generic
-# over a runner callable and only type-references the service, so it is
-# safe to re-export.
+# path rather than re-exported here.
 
-__all__ = [
-    "BACKENDS",
-    "BlockExecution",
-    "ComputationManager",
-    "ExecutionChamber",
-    "ExternalProgram",
-    "InProcessChamber",
-    "MACPolicy",
-    "QueryHandle",
-    "QueryScheduler",
-    "SubprocessChamber",
-    "TimingDefense",
-    "VectorizedProgram",
-    "stack_blocks",
-    "supports_batch",
-]
+_EXPORTS = {
+    "repro.runtime.computation_manager": ("BACKENDS", "ComputationManager"),
+    "repro.runtime.marshal": ("ExternalProgram",),
+    "repro.runtime.policy": ("MACPolicy",),
+    "repro.runtime.sandbox": (
+        "BlockExecution",
+        "ExecutionChamber",
+        "InProcessChamber",
+        "SubprocessChamber",
+    ),
+    "repro.runtime.scheduler": ("QueryHandle", "QueryScheduler"),
+    "repro.runtime.timing": ("TimingDefense",),
+    "repro.runtime.vectorized": ("VectorizedProgram", "stack_blocks", "supports_batch"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

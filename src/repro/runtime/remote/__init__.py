@@ -19,36 +19,32 @@ Pieces:
 * :mod:`~repro.runtime.remote.backend` — :class:`RemoteShardBackend`,
   the coordinator: node registry, heartbeats, shard re-assignment on
   node death, and the partial-quorum degrade path.
+
+The names below resolve lazily (see :mod:`repro._lazy`), so a node
+process — which imports :mod:`~repro.runtime.remote.node` and
+:mod:`~repro.runtime.remote.wire` through this package — never loads
+the coordinator in :mod:`~repro.runtime.remote.backend`.
 """
 
-from repro.runtime.remote.backend import (
-    DEFAULT_HEARTBEAT_INTERVAL,
-    DEFAULT_NODE_TIMEOUT,
-    RemoteShardBackend,
-    local_node_cluster,
-)
-from repro.runtime.remote.node import ShardNodeServer
-from repro.runtime.remote.wire import (
-    REMOTE_MAGIC,
-    REMOTE_PROTOCOL_VERSION,
-    CorruptFrame,
-    Frame,
-    FrameError,
-    TruncatedFrame,
-    VersionMismatch,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_HEARTBEAT_INTERVAL",
-    "DEFAULT_NODE_TIMEOUT",
-    "CorruptFrame",
-    "Frame",
-    "FrameError",
-    "REMOTE_MAGIC",
-    "REMOTE_PROTOCOL_VERSION",
-    "RemoteShardBackend",
-    "ShardNodeServer",
-    "TruncatedFrame",
-    "VersionMismatch",
-    "local_node_cluster",
-]
+_EXPORTS = {
+    "repro.runtime.remote.backend": (
+        "DEFAULT_HEARTBEAT_INTERVAL",
+        "DEFAULT_NODE_TIMEOUT",
+        "RemoteShardBackend",
+        "local_node_cluster",
+    ),
+    "repro.runtime.remote.node": ("ShardNodeServer",),
+    "repro.runtime.remote.wire": (
+        "REMOTE_MAGIC",
+        "REMOTE_PROTOCOL_VERSION",
+        "CorruptFrame",
+        "Frame",
+        "FrameError",
+        "TruncatedFrame",
+        "VersionMismatch",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -51,6 +51,7 @@ import itertools
 import os
 import secrets as secrets_module
 import select
+import signal
 import socket
 import subprocess
 import sys
@@ -125,12 +126,39 @@ class _NodeSession:
 #: How much of a process node's stderr a start-up failure carries.
 _STDERR_TAIL_BYTES = 2048
 
+#: Seconds the process nodes of a :class:`LocalNodeCluster` get to
+#: announce their ports, counted from the first spawn.  The nodes start
+#: concurrently, so this one deadline bounds the whole cluster's start.
+NODE_START_TIMEOUT = 30.0
+
 
 def _stderr_tail(log) -> str:
     """The last :data:`_STDERR_TAIL_BYTES` a node wrote to ``log``."""
     log.seek(0, os.SEEK_END)
     log.seek(max(0, log.tell() - _STDERR_TAIL_BYTES))
     return log.read().decode("utf-8", "replace").strip()
+
+
+def _first_lines(processes: list[subprocess.Popen], deadline: float) -> list[bytes]:
+    """What each process writes to stdout up to its first newline.
+
+    Reads every process at once, from the raw descriptors, so neither a
+    slow starter nor a partial line holds up the others.  A process's
+    read ends at its first newline or at EOF; every read ends at
+    ``deadline`` (a ``time.monotonic()`` value).
+    """
+    output = [b""] * len(processes)
+    pending = {process.stdout.fileno(): i for i, process in enumerate(processes)}
+    while pending:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            break
+        for fd in select.select(list(pending), [], [], remaining)[0]:
+            chunk = os.read(fd, 512)
+            output[pending[fd]] += chunk
+            if not chunk or b"\n" in chunk:
+                del pending[fd]
+    return output
 
 
 class LocalNodeCluster:
@@ -142,12 +170,17 @@ class LocalNodeCluster:
     127.0.0.1:0`` subprocesses (scraping the announced ``LISTENING``
     line): single-box multi-process sharding, and what the fault matrix
     and the CI soak use — a crashed subprocess is a genuinely dead peer.
-    ``env`` adds variables to subprocess nodes (e.g. arming
+    All subprocess nodes are spawned at once and their announcements
+    collected together under one :data:`NODE_START_TIMEOUT` deadline,
+    so a cluster starts in about one node's start time; each node loads
+    the node tier only (:mod:`repro.runtime.remote.node` and its
+    imports).  ``env`` adds variables to subprocess nodes (e.g. arming
     ``REPRO_FAILPOINTS`` in a victim node); a ``PYTHONPATH`` there is
     appended to the node's own import path rather than replacing it
     (e.g. a directory holding the analyst program's module).  A
-    subprocess node that dies before announcing its port raises a
-    :class:`ComputationError` carrying the tail of its stderr.
+    subprocess node that dies, or is still silent at the deadline,
+    stops the whole cluster and raises a :class:`ComputationError`
+    carrying the tail of that node's stderr.
     """
 
     def __init__(
@@ -199,36 +232,49 @@ class LocalNodeCluster:
             ) if p
         )
         secret_env = {} if secret is None else {"REPRO_SHARD_SECRET": secret}
-        for _ in range(count):
-            # An unlinked file, not a pipe: nothing drains a node's
-            # stderr, and a full pipe would block a chatty node.
-            log = tempfile.TemporaryFile()
-            self._stderr_logs.append(log)
-            process = subprocess.Popen(
-                [sys.executable, "-m", "repro", "shard-node", "127.0.0.1:0"],
-                stdout=subprocess.PIPE,
-                stderr=log,
-                text=True,
-                env={
-                    **os.environ,
-                    **secret_env,
-                    **env,
-                    "PYTHONPATH": node_path,
-                },
-            )
-            self._processes.append(process)
-            line = process.stdout.readline().strip()
+        node_env = {**os.environ, **secret_env, **env, "PYTHONPATH": node_path}
+        deadline = time.monotonic() + NODE_START_TIMEOUT
+        try:
+            # Every node is spawned before any announcement is awaited,
+            # so their interpreter starts and imports overlap.
+            for _ in range(count):
+                # An unlinked file, not a pipe: nothing drains a node's
+                # stderr, and a full pipe would block a chatty node.
+                log = tempfile.TemporaryFile()
+                self._stderr_logs.append(log)
+                self._processes.append(subprocess.Popen(
+                    [sys.executable, "-m", "repro", "shard-node", "127.0.0.1:0"],
+                    stdout=subprocess.PIPE,
+                    stderr=log,
+                    env=node_env,
+                ))
+            output = _first_lines(self._processes, deadline)
+        except BaseException:
+            self.stop()
+            raise
+        for index, written in enumerate(output):
+            line, newline, _ = written.partition(b"\n")
+            line = line.decode("utf-8", "replace").strip()
             parts = line.split()
-            if len(parts) != 3 or parts[0] != "LISTENING":
-                process.kill()
-                process.wait()
-                tail = _stderr_tail(log)
-                self.stop()
-                raise ComputationError(
-                    f"shard-node did not announce its port (got {line!r})"
-                    + (f"; node stderr:\n{tail}" if tail else "")
-                )
-            self.addresses.append((parts[1], int(parts[2])))
+            if (newline and len(parts) == 3 and parts[0] == "LISTENING"
+                    and parts[2].isdigit()):
+                self.addresses.append((parts[1], int(parts[2])))
+                continue
+            process = self._processes[index]
+            process.kill()  # a no-op on a node that already exited
+            code = process.wait()
+            tail = _stderr_tail(self._stderr_logs[index])
+            self.stop()
+            if code != -signal.SIGKILL:
+                reason = f" (exit code {code})"
+            elif not newline:
+                reason = f" within {NODE_START_TIMEOUT:g} s"
+            else:
+                reason = ""
+            raise ComputationError(
+                f"shard-node {index} did not announce its port{reason}; "
+                f"got {line!r}" + (f"; node stderr:\n{tail}" if tail else "")
+            )
 
     def stop(self) -> None:
         for server in self._servers:
@@ -243,6 +289,7 @@ class LocalNodeCluster:
             except subprocess.TimeoutExpired:  # pragma: no cover - stuck node
                 process.kill()
                 process.wait(timeout=5.0)
+            process.stdout.close()
         self._processes = []
         for log in self._stderr_logs:
             log.close()

@@ -29,8 +29,12 @@ count, schema digest) in the handshake, and *refuses* ``SEGMENT``
 frames for curated datasets — the coordinator plans against
 node-reported geometry and never sees a value.  The node deliberately
 imports no accounting machinery: budgets, ledgers and journals live
-with the coordinator's dataset manager only
-(``tests/test_shard_privacy.py`` pins this by AST).
+with the coordinator's dataset manager only.  A node process imports
+this module's closure and nothing more — the package facades resolve
+their re-exports lazily and ``repro shard-node`` is handed to
+:func:`main` before the CLI imports its other commands'
+dependencies (``tests/test_shard_privacy.py`` pins both the source
+imports and a running node's ``-X importtime`` log).
 
 A node started with ``--secret`` (or ``REPRO_SHARD_SECRET``) requires
 every coordinator to pass the HMAC challenge-response folded into
@@ -585,7 +589,10 @@ def main(argv: list[str]) -> int:
         prog="repro shard-node",
         description="Run one shard node until halted.",
     )
-    parser.add_argument("address", help="HOST:PORT to listen on (port 0 = ephemeral)")
+    parser.add_argument(
+        "address", metavar="HOST:PORT",
+        help="address to listen on (port 0 = ephemeral)",
+    )
     parser.add_argument(
         "--data", action="append", default=[], metavar="FILE",
         help="rows this node curates (.npy or CSV); repeatable, "

@@ -47,6 +47,61 @@ class TestTopLevelApi:
             assert module.__doc__, f"{info.name} lacks a module docstring"
 
 
+class TestLazyFacades:
+    """The package facades re-export lazily (PEP 562) and faithfully."""
+
+    FACADES = ("repro", "repro.core", "repro.runtime", "repro.runtime.remote")
+
+    @pytest.mark.parametrize("facade", FACADES)
+    def test_every_export_is_its_defining_modules_object(self, facade):
+        package = importlib.import_module(facade)
+        exported = [
+            (module, name)
+            for module, names in package._EXPORTS.items()
+            for name in names
+        ]
+        assert sorted(package.__all__) == sorted(name for _, name in exported)
+        for module, name in exported:
+            value = getattr(package, name)
+            assert value is getattr(importlib.import_module(module), name), name
+            if isinstance(value, type) or callable(value):
+                assert value.__module__ == module, (facade, name)
+            assert name in dir(package)
+
+    @pytest.mark.parametrize("facade", FACADES)
+    def test_star_import_binds_all(self, facade):
+        namespace = {}
+        exec(f"from {facade} import *", namespace)
+        package = importlib.import_module(facade)
+        for name in package.__all__:
+            assert namespace[name] is getattr(package, name), name
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'NoSuchName'"):
+            repro.NoSuchName
+
+    def test_a_bare_import_loads_no_tier(self):
+        """``import repro`` (which every ``repro.*`` import runs) loads
+        neither the accounting tier nor the server tier."""
+        import os
+        import subprocess
+        import sys
+
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        loaded = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print(' '.join(sorted(sys.modules)))"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": source_root},
+        ).stdout.split()
+        assert "repro" in loaded
+        offenders = [
+            name for name in loaded
+            if name.startswith(("repro.accounting", "repro.server"))
+        ]
+        assert not offenders, offenders
+
+
 class TestSubprocessSpawn:
     def test_spawn_start_method_supported(self):
         """Spawn-based chambers need picklable programs; our estimator

@@ -335,11 +335,16 @@ class TestRemoteTelemetrySentinels:
 
 
 class TestNodeCodeStaysOutsideTheLedger:
-    """AST pin: shard-node code never imports accounting internals.
+    """Shard-node code never imports accounting internals.
 
     A node holds raw rows, so the blast radius of a compromised node
     must stop at its own slice: budgets, ledgers and journals are
     coordinator-side machinery the node process must not even import.
+    Pinned twice: in source (an AST walk of the node modules' imports)
+    and in a running node process (``-X importtime`` of a node started
+    the way :class:`LocalNodeCluster` starts one).  The package facades
+    re-export lazily, so importing the node tier through them loads
+    nothing else.
     """
 
     NODE_MODULES = ("repro.runtime.remote.node", "repro.runtime.remote.wire")
@@ -389,9 +394,8 @@ class TestNodeCodeStaysOutsideTheLedger:
 
         Follows every ``repro.*`` import from the node modules through
         the files it resolves to (``from pkg import module`` follows the
-        module, not the package's re-export ``__init__`` — the root
-        package facade imports everything and is exactly what a slim
-        node deployment would not ship).  Nothing reachable may be
+        module, not the package's ``__init__``, whose lazy re-exports
+        load nothing until a name is used).  Nothing reachable may be
         accounting, dataset-ledger, or server-tier code.
         """
         import ast
@@ -452,3 +456,30 @@ class TestNodeCodeStaysOutsideTheLedger:
         # The closure is small and self-contained — a regression that
         # suddenly drags in half the package should be loud.
         assert len(closure) < 25, sorted(closure)
+
+    def test_a_running_node_imports_no_forbidden_module(self):
+        """The pin holds in the process, not only in the source.
+
+        Starts one node exactly as ``local_node_cluster`` does, with
+        ``PYTHONPROFILEIMPORTTIME`` (``-X importtime``) writing every
+        import to the node's stderr log, and reads that log once the
+        node has announced its port.
+        """
+        from repro.runtime.remote import local_node_cluster
+
+        with local_node_cluster(
+            1, spawn="process", env={"PYTHONPROFILEIMPORTTIME": "1"}
+        ) as cluster:
+            log = cluster._stderr_logs[0]
+            log.seek(0)
+            report = log.read().decode("utf-8", "replace")
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in report.splitlines()
+            if line.startswith("import time:") and "|" in line
+        }
+        assert "repro.runtime.remote.node" in imported, report[-2000:]
+        offenders = sorted(
+            name for name in imported if name.startswith(self.FORBIDDEN_PREFIXES)
+        )
+        assert not offenders, f"a shard-node process imported {offenders}"

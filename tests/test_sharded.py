@@ -12,7 +12,9 @@ its own shard, which resolves to fallback rows.
 """
 
 import os
+import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from repro.exceptions import ComputationError
 from repro.observability import MetricsRegistry
 from repro.runtime.computation_manager import ComputationManager
 from repro.runtime.remote import RemoteShardBackend, local_node_cluster
+from repro.runtime.remote import backend as backend_module
 from repro.runtime.sandbox import InProcessChamber
 from repro.runtime.shard import ShardQuerySpec
 from repro.runtime.timing import TimingDefense
@@ -59,6 +62,26 @@ def crash_on_negative_mean(block):
 
 
 crash_on_negative_mean.output_dimension = 1
+
+
+@pytest.fixture
+def spawned_nodes(monkeypatch):
+    """``(processes, stderr logs)`` every process-node start creates."""
+    processes, logs = [], []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            processes.append(self)
+
+    def recording_log():
+        logs.append(temporary_file())
+        return logs[-1]
+
+    temporary_file = backend_module.tempfile.TemporaryFile
+    monkeypatch.setattr(backend_module.subprocess, "Popen", RecordingPopen)
+    monkeypatch.setattr(backend_module.tempfile, "TemporaryFile", recording_log)
+    return processes, logs
 
 
 def _values(num_records: int = NUM_RECORDS) -> np.ndarray:
@@ -497,6 +520,57 @@ class TestValidation:
         with pytest.raises(ComputationError, match="did not announce") as info:
             local_node_cluster(1, spawn="process", env={"PYTHONPATH": str(tmp_path)})
         assert "boom" in str(info.value)
+
+    def test_node_that_never_announces_stops_the_cluster(
+        self, tmp_path, monkeypatch, spawned_nodes
+    ):
+        """A node stuck before its ``LISTENING`` line hits the deadline."""
+        (tmp_path / "numpy.py").write_text("import time\ntime.sleep(20)\n")
+        monkeypatch.setattr(backend_module, "NODE_START_TIMEOUT", 1.0)
+        started = time.monotonic()
+        with pytest.raises(ComputationError, match="within 1 s"):
+            local_node_cluster(
+                2, spawn="process", env={"PYTHONPATH": str(tmp_path)}
+            )
+        assert time.monotonic() - started < 10.0
+        processes, logs = spawned_nodes
+        assert len(processes) == 2
+        assert all(p.returncode is not None for p in processes)
+        assert all(log.closed for log in logs)
+
+    def test_one_failing_node_among_several_leaves_nothing_running(
+        self, tmp_path, spawned_nodes
+    ):
+        """The first node to import numpy fails; its siblings start.
+
+        The failure names the failing node's stderr, and every node
+        process is reaped and every stderr log closed.
+        """
+        (tmp_path / "numpy.py").write_text(
+            "import os, sys\n"
+            "here = os.path.dirname(os.path.abspath(__file__))\n"
+            "try:\n"
+            "    os.close(os.open(os.path.join(here, 'first'),\n"
+            "                     os.O_CREAT | os.O_EXCL | os.O_WRONLY))\n"
+            "except FileExistsError:\n"
+            "    # Not the first importer: hand over to the real numpy.\n"
+            "    sys.path[:] = [p for p in sys.path if p != here]\n"
+            "    del sys.modules['numpy']\n"
+            "    import numpy\n"
+            "else:\n"
+            "    raise ImportError('first importer fails: ' + str(os.getpid()))\n"
+        )
+        with pytest.raises(ComputationError, match="did not announce") as info:
+            local_node_cluster(
+                3, spawn="process", env={"PYTHONPATH": str(tmp_path)}
+            )
+        processes, logs = spawned_nodes
+        assert len(processes) == 3
+        failed = [p for p in processes if p.returncode == 1]
+        assert len(failed) == 1
+        assert f"first importer fails: {failed[0].pid}" in str(info.value)
+        assert all(p.returncode is not None for p in processes)
+        assert all(log.closed for log in logs)
 
     def test_serial_backends_honor_the_shards_knob(self):
         manager = ComputationManager(backend="serial", shards=3)

@@ -164,7 +164,7 @@ class RegisteredDataset:
     version:
         Monotone registration generation assigned by the owning manager.
         Anything derived from the dataset's *contents* (memoized block
-        plans, materializations) keys on ``(name, version)`` so a
+        plans, cached answers) keys on ``(name, version)`` so a
         retire-and-re-register under the same name can never serve
         derivations of the old records.
     metrics:

@@ -8,7 +8,7 @@
 * :mod:`repro.core.block_size` — optimal block size via aged data (§4.3).
 * :mod:`repro.core.budget_estimation` — accuracy goal -> epsilon (§5.1).
 * :mod:`repro.core.budget_distribution` — epsilon across queries (§5.2).
-* :mod:`repro.core.plan_cache` — memoized block plans and materializations.
+* :mod:`repro.core.plan_cache` — memoized block plans (never block rows).
 * :mod:`repro.core.gupt` — the :class:`GuptRuntime` facade.
 
 The names below resolve lazily (see :mod:`repro._lazy`): importing one

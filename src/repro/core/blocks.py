@@ -203,27 +203,25 @@ class BlockPlan:
             )
 
         generator = as_generator(rng)
-        bins_per_round = blocks_per_round(num_records, block_size)
-        kept = bins_per_round * block_size
-        # One reshape + row-wise sort per round instead of a Python loop
+        shape = (blocks_per_round(num_records, block_size), block_size)
+        # One reshape + in-place row-wise sort instead of a Python loop
         # over bins: identical indices to slicing bin-by-bin, an order of
-        # magnitude faster at realistic block counts.  The rounds'
-        # sorted (bins, beta) matrices stack into the plan's index
-        # matrix in draw order.
-        rounds = [
-            np.sort(
-                generator.permutation(num_records)[:kept].reshape(
-                    bins_per_round, block_size
-                ),
-                axis=1,
-            )
-            for _ in range(resampling_factor)
-        ]
+        # magnitude faster at realistic block counts.  Rows are sorted
+        # where they lie, so no round is copied to be sorted.
+        if resampling_factor == 1:
+            matrix = generator.permutation(num_records)
+            # Truncates to the round's full bins in place: the matrix
+            # keeps the permutation's buffer instead of copying it.
+            matrix.resize(shape, refcheck=False)
+        else:
+            # The rounds fill one preallocated matrix in draw order.
+            kept = shape[0] * block_size
+            matrix = np.empty((resampling_factor * shape[0], block_size), np.intp)
+            for rows in matrix.reshape(resampling_factor, *shape):
+                rows[...] = generator.permutation(num_records)[:kept].reshape(shape)
+        matrix.sort(axis=1)
         return BlockPlan._from_matrix(
-            num_records,
-            block_size,
-            resampling_factor,
-            rounds[0] if resampling_factor == 1 else np.concatenate(rounds),
+            num_records, block_size, resampling_factor, matrix
         )
 
     @staticmethod

@@ -81,9 +81,11 @@ class GuptRuntime:
         ``backend="remote"``.
     plan_cache:
         A :class:`~repro.core.plan_cache.BlockPlanCache` to memoize
-        block plans and stacked materializations across queries, or
-        ``None`` to build one of ``plan_cache_size`` entries.  Cache
-        keys are data-independent by construction (registration
+        drawn block plans across queries, or ``None`` to build one of
+        ``plan_cache_size`` entries.  It holds plans, never rows: each
+        query gathers its own block stack, which no later query sees
+        and which is freed when the query ends.  Cache keys are
+        data-independent by construction (registration
         identity + public plan geometry + seed), and the runtime wires
         the dataset manager's invalidation hooks in so re-registered
         datasets evict their stale entries eagerly.

@@ -1,10 +1,13 @@
-"""Memoized block plans and materializations for repeated queries.
+"""Memoized block plans for repeated queries.
 
-Drawing a block plan costs an ``O(gamma * n)`` permutation and
-materializing it another ``O(gamma * n * d)`` gather — per query, even
-when an analyst (or a benchmark, or a dashboard refreshing the same
-statistic) re-runs the identical program shape against the identical
-dataset.  :class:`BlockPlanCache` memoizes both.
+Drawing a block plan costs an ``O(gamma * n)`` permutation plus a row
+sort — per query, even when an analyst (or a benchmark, or a dashboard
+refreshing the same statistic) re-runs the identical program shape
+against the identical dataset.  :class:`BlockPlanCache` memoizes the
+drawn plan and nothing else: the ``(l, beta, d)`` stacked block rows
+are gathered fresh for every query, hit or miss, so they are that
+query's own working memory and are freed when it ends.  Only block
+outputs outlive a query; no cached entry ever holds a record value.
 
 **Cache-key privacy invariant.**  Keys are data-independent *by
 construction*: a :class:`PlanKey` holds only the dataset's registration
@@ -13,13 +16,9 @@ size, resampling factor) and the plan seed — all values the analyst
 already knows or chose.  No key component is ever derived from a record
 value or a block output, so cache hit/miss behavior (and the
 ``plan_cache.*`` telemetry built from it) cannot leak anything a release
-does not already reveal.  Cached *values* (plans and stacked block
-views) are of course sensitive, exactly as the dataset itself is; they
-live and die inside the trusted platform and are never released.
-Stacked materializations are frozen (``writeable = False``) before
-insertion: they are shared across queries, so an analyst program that
-mutates its input in place must never be able to corrupt the records a
-*later* query computes its release from.
+does not already reveal.  Cached *values* are index matrices drawn from
+the seed, a function of public parameters alone; they live inside the
+trusted platform and are never released.
 
 **Invalidation.**  Entries are scoped to a dataset *version*: the
 dataset manager assigns a fresh version at every registration, so
@@ -39,13 +38,13 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.blocks import BlockPlan, shard_block_counts
+from repro.core.blocks import BlockPlan
 from repro.observability import MetricsRegistry, get_registry
 
-#: Default maximum number of memoized (plan, materialization) entries.
+#: Default maximum number of memoized plans.
 DEFAULT_MAX_ENTRIES = 16
 
-#: Default approximate byte budget across all cached materializations.
+#: Default approximate byte budget across all cached index matrices.
 DEFAULT_MAX_BYTES = 256 * 2**20
 
 
@@ -78,17 +77,15 @@ class PlanKey:
 
 
 class _Entry:
-    __slots__ = ("plan", "stacked", "nbytes")
+    __slots__ = ("plan", "nbytes")
 
-    def __init__(self, plan: BlockPlan, stacked: np.ndarray | None):
+    def __init__(self, plan: BlockPlan):
         self.plan = plan
-        self.stacked = stacked
-        index_bytes = sum(int(b.nbytes) for b in plan.blocks)
-        self.nbytes = index_bytes + (int(stacked.nbytes) if stacked is not None else 0)
+        self.nbytes = sum(int(b.nbytes) for b in plan.blocks)
 
 
 class BlockPlanCache:
-    """Thread-safe LRU cache of block plans and stacked materializations.
+    """Thread-safe LRU cache of block plans (index matrices, never rows).
 
     Parameters
     ----------
@@ -96,8 +93,8 @@ class BlockPlanCache:
         LRU bound on the number of cached plans.
     max_bytes:
         Approximate bound on the total bytes held by cached index
-        arrays and stacked materializations; the least recently used
-        entries are evicted until the cache fits.
+        arrays; the least recently used entries are evicted until the
+        cache fits.
     metrics:
         Registry receiving ``plan_cache.*`` telemetry; ``None`` uses the
         process default.  Every recorded value is a count or byte total
@@ -158,13 +155,14 @@ class BlockPlanCache:
         values: np.ndarray,
         draw: Callable[[], BlockPlan],
     ) -> tuple[BlockPlan, np.ndarray | None]:
-        """The memoized plan and stacked materialization for ``key``.
+        """The memoized plan for ``key`` and a fresh stack of its blocks.
 
         On a miss, ``draw`` produces the plan (from the key's seed — the
         caller guarantees ``draw`` is a pure function of the key, which
-        is what makes racing misses benign: both compute the same entry)
-        and the materialization is gathered once.  On a hit both come
-        back without touching ``values``.
+        is what makes racing misses benign: both compute the same plan).
+        Hit or miss, the ``(l, beta, d)`` stack is gathered from
+        ``values`` anew: it belongs to the calling query alone, is
+        writable, and is freed with it.
         """
         registry = self._registry()
         with self._lock:
@@ -173,19 +171,10 @@ class BlockPlanCache:
                 self._entries.move_to_end(key)
         if entry is not None:
             registry.counter("plan_cache.hits").inc()
-            return entry.plan, entry.stacked
+            return entry.plan, entry.plan.stack(values)
 
         registry.counter("plan_cache.misses").inc()
-        plan = draw()
-        stacked = plan.stack(values)
-        if stacked is not None:
-            # The entry is shared across queries: freeze it so an analyst
-            # program that mutates its input in place can never corrupt
-            # the cached records other queries will compute from.  The
-            # execution layer detects the frozen array and hands such
-            # programs per-query copies instead.
-            stacked.flags.writeable = False
-        entry = _Entry(plan, stacked)
+        entry = _Entry(draw())
         evicted = 0
         with self._lock:
             if key not in self._entries:
@@ -200,7 +189,7 @@ class BlockPlanCache:
             self._record_gauges(registry)
         if evicted:
             registry.counter("plan_cache.evictions").inc(evicted)
-        return entry.plan, entry.stacked
+        return entry.plan, entry.plan.stack(values)
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -231,23 +220,3 @@ class BlockPlanCache:
             self._bytes = 0
             self._record_gauges(registry)
 
-
-def slice_stacked_for_shard(stacked: np.ndarray, key: PlanKey, shard: int) -> np.ndarray:
-    """One shard's rows of a combined stacked materialization (zero-copy).
-
-    The combined plan of the sharded protocol orders blocks shard-major,
-    so shard ``s`` owns a contiguous row range of the ``(l, beta, d)``
-    stacked array; its bounds follow from public geometry alone
-    (:func:`~repro.core.blocks.shard_block_counts`).  This is the bridge
-    between a coordinator-side cached materialization and the per-shard
-    view a shard-local executor computes independently — the equivalence
-    tests compare the two, and a single-process backend replaying a
-    sharded plan can hand out per-shard slices without re-gathering.
-    """
-    counts = shard_block_counts(
-        key.num_records, key.block_size, key.resampling_factor, key.shards
-    )
-    if not 0 <= shard < key.shards:
-        raise ValueError(f"shard {shard} out of range for {key.shards} shards")
-    start = int(counts[:shard].sum())
-    return stacked[start : start + int(counts[shard])]

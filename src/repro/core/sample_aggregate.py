@@ -146,8 +146,8 @@ class SampleAggregateEngine:
         ``plan_seed`` drawn from ``rng`` (one generator draw whether the
         lookup hits or misses, so seeded releases are bit-identical with
         and without a warm cache), and ``plan_cache``, when given,
-        memoizes the drawn plan plus its stacked materialization under
-        the data-independent :class:`PlanKey`.  The plan is drawn for
+        memoizes the drawn plan (never its gathered rows) under the
+        data-independent :class:`PlanKey`.  The plan is drawn for
         the manager's ``plan_shards`` logical shards — under the
         ``remote`` backend each shard plans and executes node-locally
         and only its block-output partial crosses back; every other

@@ -10,25 +10,22 @@ These are the substrate GUPT's sample-and-aggregate core is built on:
   percentile estimator used by GUPT-loose and GUPT-helper.
 * :mod:`repro.mechanisms.composition` — sequential/parallel composition
   accounting helpers.
+
+The names below resolve lazily (see :mod:`repro._lazy`): a shard node,
+which needs :mod:`repro.mechanisms.rng` only, loads no mechanism.
 """
 
-from repro.mechanisms.laplace import LaplaceMechanism, laplace_noise
-from repro.mechanisms.exponential import ExponentialMechanism
-from repro.mechanisms.percentile import dp_percentile, dp_percentile_range
-from repro.mechanisms.composition import (
-    parallel_composition,
-    sequential_composition,
-)
-from repro.mechanisms.rng import RandomSource, as_generator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExponentialMechanism",
-    "LaplaceMechanism",
-    "RandomSource",
-    "as_generator",
-    "dp_percentile",
-    "dp_percentile_range",
-    "laplace_noise",
-    "parallel_composition",
-    "sequential_composition",
-]
+_EXPORTS = {
+    "repro.mechanisms.composition": (
+        "parallel_composition",
+        "sequential_composition",
+    ),
+    "repro.mechanisms.exponential": ("ExponentialMechanism",),
+    "repro.mechanisms.laplace": ("LaplaceMechanism", "laplace_noise"),
+    "repro.mechanisms.percentile": ("dp_percentile", "dp_percentile_range"),
+    "repro.mechanisms.rng": ("RandomSource", "as_generator"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -40,7 +40,9 @@ Keys are built exclusively from analyst-supplied public parameters and
 registration metadata — never from records or block outputs — so the
 cache's internal state is release-safe by construction, like
 :class:`~repro.core.plan_cache.BlockPlanCache` whose keying discipline
-this module mirrors.
+this module mirrors.  Neither cache holds records: this one keeps
+published releases, the plan cache keeps drawn index matrices, and the
+block rows a query gathers never outlive that query.
 """
 
 from __future__ import annotations

@@ -313,10 +313,10 @@ class ComputationManager:
             elif stacked.flags.writeable:
                 blocks = list(stacked)
             else:
-                # Frozen stacked arrays are shared plan-cache entries;
-                # chambers run programs that may legitimately mutate
-                # their block in place, so hand each one a per-query
-                # copy — mutation degrades to a copy, never corruption.
+                # A caller's read-only stack: chambers run programs that
+                # may legitimately mutate their block in place, so hand
+                # each one a copy — mutation degrades to a copy, never a
+                # write error or corruption.
                 blocks = [np.array(block) for block in stacked]
         executions = self._run_blocks_impl(
             program, blocks, output_dimension, fallback, stacked, try_batch=False

@@ -161,6 +161,17 @@ def _first_lines(processes: list[subprocess.Popen], deadline: float) -> list[byt
     return output
 
 
+def _curator_args(directory: str, index: int, datasets: dict) -> list[str]:
+    """``--data FILE --dataset NAME`` for each dataset node ``index``
+    curates, its rows saved as ``.npy`` files under ``directory``."""
+    args: list[str] = []
+    for position, (name, rows) in enumerate(datasets.items()):
+        path = os.path.join(directory, f"node{index}-{position}.npy")
+        np.save(path, np.asarray(rows))
+        args += ["--data", path, "--dataset", str(name)]
+    return args
+
+
 class LocalNodeCluster:
     """A convenience cluster of shard nodes owned by this process.
 
@@ -177,10 +188,12 @@ class LocalNodeCluster:
     imports).  ``env`` adds variables to subprocess nodes (e.g. arming
     ``REPRO_FAILPOINTS`` in a victim node); a ``PYTHONPATH`` there is
     appended to the node's own import path rather than replacing it
-    (e.g. a directory holding the analyst program's module).  A
-    subprocess node that dies, or is still silent at the deadline,
-    stops the whole cluster and raises a :class:`ComputationError`
-    carrying the tail of that node's stderr.
+    (e.g. a directory holding the analyst program's module).
+    ``curated`` gives each node the datasets it curates (name -> rows);
+    a subprocess node loads them from ``--data`` files that live only
+    until the cluster has started.  A subprocess node that dies, or is
+    still silent at the deadline, stops the whole cluster and raises a
+    :class:`ComputationError` carrying the tail of that node's stderr.
     """
 
     def __init__(
@@ -199,11 +212,6 @@ class LocalNodeCluster:
             raise ComputationError(
                 f"curated needs one dataset map per node "
                 f"({len(curated)} maps for {count} nodes)"
-            )
-        if curated is not None and spawn != "thread":
-            raise ComputationError(
-                "curated node data requires spawn='thread' (subprocess "
-                "curators load their own --data files)"
             )
         self.addresses: list[tuple[str, int]] = []
         self._servers: list[ShardNodeServer] = []
@@ -235,20 +243,26 @@ class LocalNodeCluster:
         node_env = {**os.environ, **secret_env, **env, "PYTHONPATH": node_path}
         deadline = time.monotonic() + NODE_START_TIMEOUT
         try:
-            # Every node is spawned before any announcement is awaited,
-            # so their interpreter starts and imports overlap.
-            for _ in range(count):
-                # An unlinked file, not a pipe: nothing drains a node's
-                # stderr, and a full pipe would block a chatty node.
-                log = tempfile.TemporaryFile()
-                self._stderr_logs.append(log)
-                self._processes.append(subprocess.Popen(
-                    [sys.executable, "-m", "repro", "shard-node", "127.0.0.1:0"],
-                    stdout=subprocess.PIPE,
-                    stderr=log,
-                    env=node_env,
-                ))
-            output = _first_lines(self._processes, deadline)
+            # A node loads its --data files before it announces.
+            with tempfile.TemporaryDirectory() as data_dir:
+                # Every node is spawned before any announcement is
+                # awaited, so their interpreter starts and imports overlap.
+                for index in range(count):
+                    # An unlinked file, not a pipe: nothing drains a node's
+                    # stderr, and a full pipe would block a chatty node.
+                    log = tempfile.TemporaryFile()
+                    self._stderr_logs.append(log)
+                    data = [] if curated is None else _curator_args(
+                        data_dir, index, curated[index]
+                    )
+                    self._processes.append(subprocess.Popen(
+                        [sys.executable, "-m", "repro", "shard-node",
+                         "127.0.0.1:0", *data],
+                        stdout=subprocess.PIPE,
+                        stderr=log,
+                        env=node_env,
+                    ))
+                output = _first_lines(self._processes, deadline)
         except BaseException:
             self.stop()
             raise

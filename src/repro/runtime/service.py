@@ -243,7 +243,7 @@ class GuptService:
         # plan_cache_size bounds the runtime's memoized block plans
         # (0 disables caching); re-registration invalidates via the
         # dataset manager's hooks, so owners rotating a dataset name
-        # never leave stale materializations behind.
+        # never leave stale plans behind.
         # answer_cache_size > 0 turns on the noisy-answer cache: repeat
         # seeded queries replay the published release at zero marginal ε
         # (see repro.optimizer.answer_cache); off by default.

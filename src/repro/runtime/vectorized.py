@@ -32,8 +32,9 @@ defense it cannot reproduce:
   per-block instance freshness is vacuous; the program instance is
   still pickle-round-tripped once per query so no state survives
   *across* queries, and the batch call only ever receives a *read-only*
-  view of the stacked blocks, so in-place mutation cannot carry state
-  across queries through a shared plan-cache entry either.
+  view of the stacked blocks.  No stack outlives its query (the plan
+  cache keeps plans, never rows), so the view guards the per-block
+  fallback that may follow a failed batch call within the same query.
 * *timing attack* — per-block kill-and-pad semantics cannot be applied
   to a single fused call, so whenever a cycle budget is configured the
   manager transparently degrades to the chamber path (counted in
@@ -164,12 +165,9 @@ def run_batch_blocks(
     fallback = np.asarray(fallback, dtype=float).ravel()
     num_blocks = int(stacked.shape[0])
     instance = _fresh_instance(program)
-    # The program sees a read-only view: the stacked array may be a
-    # cache entry shared across queries, and released bits must never
-    # depend on cache state.  Freezing unconditionally keeps behavior
-    # identical on cold and warm caches — a batch form that mutates its
-    # input raises here and degrades to the chamber path (which hands
-    # such programs per-query copies) instead of corrupting anything.
+    # The program sees a read-only view: a batch form that mutates its
+    # input raises here and degrades to the per-block path, which must
+    # then read the blocks exactly as gathered.
     readonly = stacked.view()
     readonly.flags.writeable = False
     started = time.perf_counter()
@@ -193,7 +191,7 @@ def run_batch_blocks(
         matrix = np.where(finite[:, None], matrix, fallback)
     elif matrix.base is not None:
         # Detach from whatever the program returned a view into (e.g.
-        # the cached stacked array) before it escapes to aggregation.
+        # the stacked array) before it escapes to aggregation.
         matrix = matrix.copy()
     return BatchOutputs(outputs=matrix, succeeded=finite, elapsed=elapsed)
 
@@ -220,14 +218,8 @@ def run_stacked_serial(
     succeeded = np.zeros(num_blocks, dtype=bool)
     started = time.perf_counter()
     for i in range(num_blocks):
-        # A writable per-block copy, matching the chamber path's contract
-        # for frozen materializations: a program that mutates its input
-        # scribbles on the copy, never on the stack later blocks are
-        # cut from — and succeeds exactly when it would under the serial
-        # chamber.
-        block = np.array(stacked[i])
         try:
-            raw = pickle.loads(program_bytes)(block)
+            raw = pickle.loads(program_bytes)(stacked[i])
         except Exception:  # noqa: BLE001 - any failure becomes fallback
             raw = None
         vector = None if raw is None else _coerce_output(raw, output_dimension)

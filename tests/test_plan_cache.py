@@ -1,11 +1,15 @@
 """Unit and integration tests for the block-plan cache.
 
 Covers the cache mechanics (LRU bounds, byte budget, invalidation), the
-privacy invariant that keys are built from public parameters only, and
-the two ends of the runtime integration: releases are bit-identical with
-a cold cache, a warm cache and no cache at all, and re-registering a
-dataset name can never serve plans drawn against the old records.
+privacy invariant that keys are built from public parameters only, the
+contract that entries hold plans and never block rows, and the two ends
+of the runtime integration: releases are bit-identical with a cold
+cache, a warm cache and no cache at all, and re-registering a dataset
+name can never serve plans drawn against the old records.
 """
+
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,15 +47,23 @@ def drawer(key):
 
 
 class TestCacheMechanics:
-    def test_miss_then_hit_returns_same_objects(self):
+    def test_hit_returns_same_plan_and_a_fresh_writable_stack(self):
         cache = BlockPlanCache(metrics=MetricsRegistry())
         values = np.arange(100, dtype=float).reshape(-1, 1)
         key = make_key()
         plan1, stacked1 = cache.plan_and_stack(key, values, drawer(key))
         plan2, stacked2 = cache.plan_and_stack(key, values, drawer(key))
         assert plan1 is plan2
-        assert stacked1 is stacked2
         assert stacked1.shape == (10, 10, 1)
+        # Each query gets its own gather: equal rows, separate memory,
+        # writable, so a query may scribble on its stack and the next
+        # one never sees it.
+        np.testing.assert_array_equal(stacked1, stacked2)
+        assert not np.shares_memory(stacked1, stacked2)
+        assert stacked1.flags.writeable and stacked2.flags.writeable
+        stacked1[...] = -1.0
+        _, stacked3 = cache.plan_and_stack(key, values, drawer(key))
+        np.testing.assert_array_equal(stacked3, stacked2)
 
     def test_different_seeds_are_different_entries(self):
         cache = BlockPlanCache(metrics=MetricsRegistry())
@@ -88,8 +100,8 @@ class TestCacheMechanics:
         assert plan_a2 is plan_a
 
     def test_byte_budget_evicts(self):
-        # Each stacked materialization is ~80 KB; a 100 KB budget can
-        # hold one entry at a time (never zero — the newest survives).
+        # Each plan's index matrix is ~80 KB; a 100 KB budget can hold
+        # one entry at a time (never zero — the newest survives).
         cache = BlockPlanCache(max_bytes=100_000, metrics=MetricsRegistry())
         values = np.zeros((10_000, 1))
         a, b = make_key(seed=1, n=10_000, beta=100), make_key(seed=2, n=10_000, beta=100)
@@ -121,19 +133,21 @@ class TestCacheMechanics:
         assert len(cache) == 0
         assert cache.nbytes == 0
 
-    def test_cached_materialization_is_frozen(self):
-        # The stacked entry is shared across queries: it must come back
-        # read-only so a mutating program can never corrupt the records
-        # a later query computes its release from.
+    def test_entry_holds_no_rows(self):
+        # An entry is the drawn plan and its index bytes: no stack is
+        # kept, so the cache's bytes are the index matrix's alone.
         cache = BlockPlanCache(metrics=MetricsRegistry())
         values = np.arange(100, dtype=float).reshape(-1, 1)
         key = make_key()
-        _, stacked = cache.plan_and_stack(key, values, drawer(key))
-        assert stacked.flags.writeable is False
-        with pytest.raises(ValueError):
-            stacked[0, 0, 0] = 1e9
-        _, again = cache.plan_and_stack(key, values, drawer(key))
-        assert again.flags.writeable is False
+        plan, stacked = cache.plan_and_stack(key, values, drawer(key))
+        (entry,) = cache._entries.values()
+        assert entry.plan is plan
+        assert not hasattr(entry, "stacked")
+        assert cache.nbytes == plan.index_matrix.nbytes
+        assert not any(
+            isinstance(value, np.ndarray) and np.shares_memory(value, stacked)
+            for value in (getattr(entry, slot) for slot in entry.__slots__)
+        )
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
@@ -310,12 +324,12 @@ class TestRuntimeIntegration:
         assert len(runtime.plan_cache) == 0
 
     def test_mutating_program_cannot_poison_the_cache(self):
-        # Regression: the chamber fallback used to run programs on
-        # zero-copy views into the shared cache entry, so an in-place
-        # mutation survived into every later query with the same plan
-        # key.  The frozen entry now forces a per-query copy: a program
-        # that reads its block and then zeroes it releases the same
-        # bits on the cold run, the warm-cache run and with no cache.
+        # Regression: the chamber fallback once ran programs on views
+        # into a stack shared through the cache, so an in-place mutation
+        # survived into every later query with the same plan key.  Now
+        # every query gathers its own stack: a program that reads its
+        # block and then zeroes it releases the same bits on the cold
+        # run, the warm-cache run and with no cache.
         class ReadThenZero:
             output_dimension = 1
 
@@ -344,11 +358,44 @@ class TestRuntimeIntegration:
         warm = query(cached)
         off = query(uncached)
         assert cold == warm == off
-        # The cached records themselves survived both runs unmutated.
+        # The entry is the plan alone: there are no cached rows to zero.
         assert len(cached.plan_cache) == 1
         entry = next(iter(cached.plan_cache._entries.values()))
-        assert entry.stacked.flags.writeable is False
-        assert np.all(entry.stacked >= 1.0)  # never zeroed in place
+        assert cached.plan_cache.nbytes == entry.plan.index_matrix.nbytes
+
+    def test_distinct_seed_queries_keep_only_index_bytes(self):
+        # Every query draws its own plan seed, so each one misses and
+        # inserts an entry.  What the runtime keeps across 20 such
+        # queries on 200k x 5 rows is bounded by the plans' index bytes
+        # (16 entries of ~1.6 MB): no query's ~8 MB block stack lives on.
+        values = np.random.default_rng(5).uniform(0.0, 10.0, size=(200_000, 5))
+        manager = DatasetManager()
+        manager.register("d", DataTable(values), total_budget=100.0)
+        runtime = GuptRuntime(manager, rng=0, backend="vectorized")
+
+        def query(seed):
+            runtime.run(
+                "d", Mean(), TightRange((0.0, 10.0)), epsilon=0.1, rng=seed
+            )
+
+        query(0)  # warm imports and lazily built state before tracing
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for seed in range(1, 21):
+                query(seed)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        cache = runtime.plan_cache
+        assert len(cache) == cache.max_entries
+        index_bytes = sum(
+            entry.plan.index_matrix.nbytes for entry in cache._entries.values()
+        )
+        assert kept <= index_bytes + 2**20, (kept, index_bytes)
+        assert cache.nbytes == index_bytes
 
     def test_close_detaches_cache_from_caller_owned_manager(self):
         manager = DatasetManager()

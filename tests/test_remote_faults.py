@@ -26,10 +26,7 @@ peer and never takes the test process with it.
 
 from __future__ import annotations
 
-import os
 import pickle
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -38,11 +35,11 @@ import pytest
 from repro.core.blocks import shard_offsets
 from repro.estimators.statistics import Mean
 from repro.observability import MetricsRegistry
-from repro.runtime.remote import RemoteShardBackend, ShardNodeServer
+from repro.runtime.remote import RemoteShardBackend, ShardNodeServer, local_node_cluster
+from repro.runtime.remote.backend import LocalNodeCluster
 from repro.runtime.shard import ShardQuerySpec, execute_shard_rows
 from repro.testing import failpoints
 
-SRC_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 SEED = 424242
 SHARDS = 4
@@ -112,31 +109,21 @@ def baseline():
     return outputs
 
 
-def _spawn_victim(arming: str) -> tuple[subprocess.Popen, str]:
-    """Start one subprocess shard node with ``REPRO_FAILPOINTS`` armed."""
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join(
-            p for p in (SRC_PATH, os.environ.get("PYTHONPATH")) if p
-        ),
-        failpoints.ENV_VAR: arming,
-    }
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "shard-node", "127.0.0.1:0"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        text=True,
-        env=env,
+def _spawn_victims(arming: str, count: int = 1) -> LocalNodeCluster:
+    """Start ``count`` subprocess shard nodes with ``REPRO_FAILPOINTS`` armed.
+
+    ``local_node_cluster`` starts them, so a victim that never announces
+    its port fails within ``NODE_START_TIMEOUT`` and shows its stderr
+    tail instead of hanging the test.
+    """
+    return local_node_cluster(
+        count, spawn="process", env={failpoints.ENV_VAR: arming}
     )
-    line = process.stdout.readline().strip()
-    parts = line.split()
-    assert parts and parts[0] == "LISTENING", f"victim failed to start: {line!r}"
-    return process, f"{parts[1]}:{parts[2]}"
 
 
 def _run_with_victim(arming: str, node_timeout: float) -> tuple[np.ndarray, np.ndarray, MetricsRegistry]:
     """One query against [armed victim, healthy thread node]."""
-    victim, victim_address = _spawn_victim(arming)
+    victim = _spawn_victims(arming)
     metrics = MetricsRegistry()
     try:
         healthy = ShardNodeServer()
@@ -144,7 +131,7 @@ def _run_with_victim(arming: str, node_timeout: float) -> tuple[np.ndarray, np.n
         try:
             backend = RemoteShardBackend(
                 shards=SHARDS,
-                nodes=[victim_address, f"{host}:{port}"],
+                nodes=[*victim.addresses, (host, port)],
                 metrics=metrics,
                 heartbeat_interval=None,
                 node_timeout=node_timeout,
@@ -156,8 +143,7 @@ def _run_with_victim(arming: str, node_timeout: float) -> tuple[np.ndarray, np.n
         finally:
             healthy.stop()
     finally:
-        victim.kill()
-        victim.wait(timeout=5.0)
+        victim.stop()
     return batch.outputs, batch.succeeded, metrics
 
 
@@ -331,11 +317,11 @@ class TestQuorumDegrade:
         # Every node crashes on its first frame: dispatch, adoption and
         # retry all fail, and every shard resolves to fallback.
         metrics = MetricsRegistry()
-        victims = [_spawn_victim("remote.node.crash=crash@1") for _ in range(2)]
+        victims = _spawn_victims("remote.node.crash=crash@1", count=2)
         try:
             backend = RemoteShardBackend(
                 shards=SHARDS,
-                nodes=[address for _, address in victims],
+                nodes=victims.addresses,
                 metrics=metrics,
                 heartbeat_interval=None,
                 node_timeout=5.0,
@@ -345,9 +331,7 @@ class TestQuorumDegrade:
             finally:
                 backend.close()
         finally:
-            for process, _ in victims:
-                process.kill()
-                process.wait(timeout=5.0)
+            victims.stop()
         assert not batch.succeeded.any()
         np.testing.assert_array_equal(
             batch.outputs, np.full_like(batch.outputs, FALLBACK)
@@ -360,11 +344,11 @@ class TestRecoveryBetweenQueries:
     """Death between queries: heartbeat detection, re-dial, re-push."""
 
     def test_heartbeat_detects_dead_node(self):
-        victim, victim_address = _spawn_victim("")  # healthy, no arming
+        victim = _spawn_victims("")  # healthy, no arming
         metrics = MetricsRegistry()
         backend = RemoteShardBackend(
             shards=SHARDS,
-            nodes=[victim_address],
+            nodes=victim.addresses,
             metrics=metrics,
             heartbeat_interval=None,
             node_timeout=2.0,
@@ -373,17 +357,15 @@ class TestRecoveryBetweenQueries:
             _, batch = backend.run_sharded(PROGRAM, _values(), SPEC)
             assert batch.succeeded.all()
             assert backend.heartbeat_once() == [True]
-            victim.kill()
-            victim.wait(timeout=5.0)
+            victim._processes[0].kill()
+            victim._processes[0].wait(timeout=5.0)
             assert backend.heartbeat_once() == [False]
             assert metrics.counter("remote.node_deaths").value == 1
             # The dropped slot reports dead without re-dialing...
             assert backend.heartbeat_once() == [False]
         finally:
             backend.close()
-            if victim.poll() is None:
-                victim.kill()
-                victim.wait(timeout=5.0)
+            victim.stop()
 
     def test_query_after_node_death_reconnects_and_repushes(self, baseline):
         metrics = MetricsRegistry()

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -30,12 +28,11 @@ import pytest
 
 from repro.estimators.statistics import Mean
 from repro.observability import MetricsRegistry
-from repro.runtime.remote import RemoteShardBackend
+from repro.runtime.remote import RemoteShardBackend, local_node_cluster
 from repro.runtime.shard import ShardQuerySpec
 from tests.test_remote_faults import kernel_release
 
 SOAK_SECONDS = float(os.environ.get("REPRO_SOAK_SECONDS", "2"))
-SRC_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 SEED = 20120520  # GUPT's SIGMOD year, mostly
 SHARDS = 6
@@ -65,32 +62,6 @@ def _values() -> np.ndarray:
     return np.random.default_rng(SEED).uniform(0.0, 100.0, size=(600, 1))
 
 
-def _spawn_node() -> tuple[subprocess.Popen, str]:
-    """One healthy ``repro shard-node`` subprocess on an ephemeral port.
-
-    Anti-flake convention (see DESIGN.md): the node binds port 0 and
-    announces ``LISTENING host port`` strictly after the listener is up;
-    we block on that line instead of racing a pre-picked port.
-    """
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join(
-            p for p in (SRC_PATH, os.environ.get("PYTHONPATH")) if p
-        ),
-    }
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "shard-node", "127.0.0.1:0"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        text=True,
-        env=env,
-    )
-    line = process.stdout.readline().strip()
-    parts = line.split()
-    assert parts and parts[0] == "LISTENING", f"node failed to start: {line!r}"
-    return process, f"{parts[1]}:{parts[2]}"
-
-
 def test_remote_cluster_soak_with_mid_soak_node_kill():
     values = _values()
     baselines = {}
@@ -99,14 +70,17 @@ def test_remote_cluster_soak_with_mid_soak_node_kill():
         assert succeeded.all()
         baselines[plan_seed] = outputs
 
-    nodes = [_spawn_node() for _ in range(NODES)]
+    # Anti-flake convention (see DESIGN.md): each node binds port 0 and
+    # announces ``LISTENING host port`` strictly after its listener is
+    # up; the cluster waits for that line, within NODE_START_TIMEOUT.
+    cluster = local_node_cluster(NODES, spawn="process")
     metrics = MetricsRegistry()
     queries = 0
     killed = False
     try:
         backend = RemoteShardBackend(
             shards=SHARDS,
-            nodes=[address for _, address in nodes],
+            nodes=cluster.addresses,
             metrics=metrics,
             heartbeat_interval=0.25,
             node_timeout=10.0,
@@ -132,8 +106,8 @@ def test_remote_cluster_soak_with_mid_soak_node_kill():
                 )
                 now = time.monotonic()
                 if not killed and now >= halfway:
-                    nodes[0][0].kill()
-                    nodes[0][0].wait(timeout=10.0)
+                    cluster._processes[0].kill()
+                    cluster._processes[0].wait(timeout=10.0)
                     killed = True
                 # Run at least one query on each side of the kill even if
                 # the clock has already expired (slow CI machines).
@@ -142,10 +116,7 @@ def test_remote_cluster_soak_with_mid_soak_node_kill():
         finally:
             backend.close()
     finally:
-        for process, _ in nodes:
-            process.kill()
-        for process, _ in nodes:
-            process.wait(timeout=10.0)
+        cluster.stop()
 
     counters = metrics.snapshot()["counters"]
     assert queries >= 4
@@ -162,35 +133,7 @@ def test_remote_cluster_soak_with_mid_soak_node_kill():
     assert counters.get("remote.heartbeats", 0) >= 1
 
 
-def _spawn_curator(
-    tmp_path, name: str, rows: np.ndarray, dataset: str, secret: str
-) -> tuple[subprocess.Popen, str]:
-    """One authenticated curator subprocess loading its own ``--data``."""
-    data_path = os.path.join(str(tmp_path), f"{name}.npy")
-    np.save(data_path, rows)
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join(
-            p for p in (SRC_PATH, os.environ.get("PYTHONPATH")) if p
-        ),
-    }
-    process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "shard-node", "127.0.0.1:0",
-            "--data", data_path, "--dataset", dataset, "--secret", secret,
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        text=True,
-        env=env,
-    )
-    line = process.stdout.readline().strip()
-    parts = line.split()
-    assert parts and parts[0] == "LISTENING", f"curator failed to start: {line!r}"
-    return process, f"{parts[1]}:{parts[2]}"
-
-
-def test_two_curator_soak_stays_bit_identical_and_pushes_nothing(tmp_path):
+def test_two_curator_soak_stays_bit_identical_and_pushes_nothing():
     """Sustained queries against two authenticated curator subprocesses.
 
     The curators load their own rows from disk (``--data``), authenticate
@@ -212,17 +155,18 @@ def test_two_curator_soak_stays_bit_identical_and_pushes_nothing(tmp_path):
         assert succeeded.all()
         baselines[plan_seed] = outputs
 
-    curators = [
-        _spawn_curator(tmp_path, "north", values[:300], dataset, secret),
-        _spawn_curator(tmp_path, "south", values[300:], dataset, secret),
-    ]
+    # Each curator process loads its own half from a --data file.
+    curators = local_node_cluster(
+        2, spawn="process", secret=secret,
+        curated=[{dataset: values[:300]}, {dataset: values[300:]}],
+    )
     metrics = MetricsRegistry()
     proxy = FederatedValues(600, 1)
     queries = 0
     try:
         backend = RemoteShardBackend(
             shards=SHARDS,
-            nodes=[address for _, address in curators],
+            nodes=curators.addresses,
             metrics=metrics,
             heartbeat_interval=0.25,
             node_timeout=10.0,
@@ -249,10 +193,7 @@ def test_two_curator_soak_stays_bit_identical_and_pushes_nothing(tmp_path):
         finally:
             backend.close()
     finally:
-        for process, _ in curators:
-            process.kill()
-        for process, _ in curators:
-            process.wait(timeout=10.0)
+        curators.stop()
 
     counters = metrics.snapshot()["counters"]
     assert queries >= 4

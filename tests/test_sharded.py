@@ -27,7 +27,7 @@ from repro.core.blocks import (
     shard_offsets,
 )
 from repro.core.gupt import GuptRuntime
-from repro.core.plan_cache import BlockPlanCache, PlanKey, slice_stacked_for_shard
+from repro.core.plan_cache import BlockPlanCache, PlanKey
 from repro.core.range_estimation import TightRange
 from repro.datasets.table import DataTable
 from repro.estimators.statistics import Mean
@@ -278,7 +278,8 @@ class TestCombineProtocol:
     def test_slice_stacked_matches_worker_local_stack(self):
         """The coordinator's combined stack slices into exactly the
         worker-local materializations — the equivalence the partials-only
-        combine rests on."""
+        combine rests on.  Blocks are shard-major, so shard ``s`` owns
+        the contiguous row range public geometry gives it."""
         values = _values(600)
         shards = 3
         cache = BlockPlanCache(metrics=MetricsRegistry())
@@ -293,6 +294,9 @@ class TestCombineProtocol:
             ),
         )
         offsets = shard_offsets(600, shards)
+        starts = np.concatenate(
+            [[0], np.cumsum(shard_block_counts(600, BLOCK_SIZE, 1, shards))]
+        )
         for shard in range(shards):
             local_values = values[int(offsets[shard]) : int(offsets[shard + 1])]
             local_plan = draw_shard_local_plan(
@@ -303,7 +307,7 @@ class TestCombineProtocol:
                 [local_values[list(block)] for block in local_plan.blocks]
             )
             np.testing.assert_array_equal(
-                slice_stacked_for_shard(combined_stacked, combined_key, shard),
+                combined_stacked[starts[shard] : starts[shard + 1]],
                 local_stacked,
             )
 

@@ -267,9 +267,10 @@ class TestManagerBackend:
         assert counters['vectorized.fallbacks{reason="batch_error"}'] == 1
 
     def test_frozen_stacked_falls_back_with_writable_copies(self):
-        # A frozen stacked array marks a shared cache entry: the chamber
-        # fallback must hand programs per-query copies, so a legitimate
-        # mutating program still succeeds without corrupting the entry.
+        # A caller may pass its own read-only stack: the chamber
+        # fallback must hand programs per-block copies, so a legitimate
+        # mutating program still succeeds without touching the caller's
+        # rows.
         def read_then_zero(block):
             out = float(np.mean(block))
             block[...] = 0.0

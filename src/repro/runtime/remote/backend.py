@@ -42,7 +42,10 @@ Telemetry (all release-safe geometry/counters, never payloads):
 ``remote.node_deaths``, ``remote.reassigned_shards``,
 ``remote.repushed_shards``, ``remote.degraded_queries``,
 ``remote.fallback_shards``,
-``remote.dispatch_seconds``, ``remote.partial_rows``.
+``remote.dispatch_seconds``, ``remote.partial_rows``,
+``remote.segment_push_seconds`` (one observation per query that pushed
+segments: the wall seconds its SEGMENT sends took, so a slow query
+shows whether it paid a cold push).
 """
 
 from __future__ import annotations
@@ -904,6 +907,8 @@ class _Query:
         self.pending: dict[int, set[int]] = {}
         self.deadlines: dict[int, float] = {}
         self.reassigned: set[int] = set()
+        # Wall seconds spent sending SEGMENT frames; None until one is.
+        self.push_seconds: float | None = None
 
     def run(self) -> tuple[ShardPlanSummary, BatchOutputs]:
         """Dispatch, collect, fill unanswered shards; the combined release."""
@@ -938,6 +943,10 @@ class _Query:
             time.perf_counter() - self.started
         )
         registry.histogram("remote.partial_rows").observe(len(self.outputs))
+        if self.push_seconds is not None:
+            registry.histogram("remote.segment_push_seconds").observe(
+                self.push_seconds
+            )
         summary = ShardPlanSummary(
             num_records=spec.num_records,
             block_size=spec.block_size,
@@ -975,7 +984,11 @@ class _Query:
                     rows = self.resident[int(offsets[shard]) : int(offsets[shard + 1])]
                     segment, body = wire.array_to_body(rows)
                     segment.update(dataset=key[0], version=key[1], shard=shard)
+                    started = time.perf_counter()
                     backend._observe_send(session, wire.SEGMENT, segment, body)
+                    self.push_seconds = (self.push_seconds or 0.0) + (
+                        time.perf_counter() - started
+                    )
                     session.held.add(key)
                     self.registry.counter("remote.segment_pushes").inc()
             backend._observe_send(session, wire.EXECUTE, header, self.program_bytes)

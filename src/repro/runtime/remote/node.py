@@ -59,6 +59,7 @@ connection).
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import secrets
 import select
@@ -72,6 +73,8 @@ from repro.exceptions import GuptError
 from repro.runtime.remote import wire
 from repro.runtime.shard import DEFAULT_RESIDENT_DATASETS, execute_shard_rows
 from repro.testing import failpoints
+
+_log = logging.getLogger(__name__)
 
 #: Sites every message (and every outgoing partial) passes through.
 FAILPOINT_SITES = ("remote.node.crash", "remote.node.hang", "remote.node.slow")
@@ -354,7 +357,10 @@ class ShardNodeServer:
         """Serve one handshaken coordinator until its session ends.
 
         A frame that fails to decode is refused with ``protocol_error``
-        and ends only this session; the node keeps serving.
+        and ends only this session; the node keeps serving.  So does
+        any other failure while handling a frame (a ``MemoryError`` from
+        a plan too large for this host, say), refused with ``internal``:
+        only the exception's type crosses the wire, never its message.
         """
         while not self._halted.is_set():
             if not self._await_frame_or_preempt(conn):
@@ -371,6 +377,12 @@ class ShardNodeServer:
                 self._refuse(conn, str(exc))
                 return
             except (OSError, failpoints.FailpointError):
+                return
+            except Exception as exc:  # noqa: BLE001 - boundary of last resort
+                _log.exception("session ended by an unexpected error")
+                self._refuse(
+                    conn, f"internal error: {type(exc).__name__}", code="internal"
+                )
                 return
 
     def _await_frame_or_preempt(self, conn: socket.socket) -> bool:
@@ -507,7 +519,10 @@ class ShardNodeServer:
             header.update(qid=request.qid, shard=shard, elapsed=float(elapsed))
             _hit_failpoints()
             wire.send_frame(
-                conn, wire.PARTIAL, header, body + wire.mask_to_bytes(succeeded)
+                conn,
+                wire.PARTIAL,
+                header,
+                b"".join((body, wire.mask_to_bytes(succeeded))),
             )
         wire.send_frame(conn, wire.QUERY_DONE, {"qid": request.qid})
 

@@ -29,6 +29,20 @@ discipline in :mod:`repro.accounting.journal`)::
   checksum, truncates mid-read, or carries the wrong version is
   rejected with a typed :class:`FrameError` — never partially applied.
 
+Copy-free I/O
+-------------
+A body crosses the socket without being copied.  :func:`send_frame`
+writes three gathered parts with ``sendmsg`` — the head (magic, prefix
+and header), the caller's body buffer itself, and the CRC, computed
+incrementally over the head and then the body in place — and resumes
+short writes.  :func:`read_frame` reads the prefix, the header, and the
+body plus its CRC into three buffers of exactly their declared sizes
+with ``recv_into``, so the body starts an allocation of its own (aligned
+for ``<f8``) and :attr:`Frame.body` is a read-only view of it; a SEGMENT's
+rows are that view (:func:`decode_segment`).  A declared length is not
+an allocation: at most 1 MiB is reserved before a part's bytes arrive,
+and the buffer grows only as they do.
+
 Privacy boundary
 ----------------
 The node -> coordinator direction may only ever carry clamped block
@@ -105,6 +119,14 @@ _MALFORMED = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
 MAX_HEADER_BYTES = 1 << 20
 MAX_BODY_BYTES = 1 << 31
 
+#: Most bytes a receiver reserves for a frame part before any of it
+#: has arrived; see :func:`_recv_exact`.
+_RECV_STEP = 1 << 20
+
+#: What a frame body may be handed over as: any flat byte buffer, sent
+#: and checksummed in place.
+Buffer = bytes | bytearray | memoryview
+
 # ----------------------------------------------------------------------
 # Message kinds (pinned; numbers are wire format)
 # ----------------------------------------------------------------------
@@ -169,11 +191,15 @@ class VersionMismatch(FrameError):
 
 @dataclass(frozen=True)
 class Frame:
-    """One decoded message: a kind, a JSON-safe header, opaque body bytes."""
+    """One decoded message: a kind, a JSON-safe header, opaque body bytes.
+
+    A frame read off a socket carries its body as a read-only view of
+    the buffer it was received into.
+    """
 
     kind: int
     header: Mapping[str, Any]
-    body: bytes = b""
+    body: Buffer = b""
 
     @property
     def kind_name(self) -> str:
@@ -190,14 +216,26 @@ def _canonical_header(header: Mapping[str, Any]) -> bytes:
     ).encode("utf-8")
 
 
-def encode_frame(kind: int, header: Mapping[str, Any], body: bytes = b"") -> bytes:
-    """Serialize one frame to its exact wire bytes."""
+def _frame_parts(
+    kind: int, header: Mapping[str, Any], body: Buffer
+) -> tuple[bytes, memoryview, bytes]:
+    """One frame as ``(magic + prefix + header, body, crc)``.
+
+    The body is a view of the caller's buffer, never a copy: the CRC
+    runs over the head and then the body in place.
+    """
     header_bytes = _canonical_header(header)
-    prefix = _PREFIX.pack(
+    body = memoryview(body).cast("B")
+    checked = _PREFIX.pack(
         REMOTE_PROTOCOL_VERSION, int(kind), len(header_bytes), len(body)
-    )
-    checked = prefix + header_bytes + body
-    return REMOTE_MAGIC + checked + _CRC.pack(zlib.crc32(checked))
+    ) + header_bytes
+    crc = zlib.crc32(body, zlib.crc32(checked))
+    return REMOTE_MAGIC + checked, body, _CRC.pack(crc)
+
+
+def encode_frame(kind: int, header: Mapping[str, Any], body: Buffer = b"") -> bytes:
+    """Serialize one frame to its exact wire bytes."""
+    return b"".join(_frame_parts(kind, header, body))
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -247,30 +285,49 @@ def _parse_header(raw: bytes) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 # Socket I/O
 # ----------------------------------------------------------------------
-def _recv_exact(
-    sock: socket.socket, count: int, deadline: float | None = None
-) -> bytes:
-    chunks: list[bytes] = []
-    remaining = count
-    while remaining:
+def _recv_into(sock: socket.socket, view: memoryview, deadline: float | None) -> None:
+    """Fill ``view`` from ``sock`` before ``deadline``, or TruncatedFrame."""
+    filled = 0
+    while filled < len(view):
         if deadline is not None:
             left = deadline - time.monotonic()
             if left <= 0.0:
                 raise TruncatedFrame(
-                    f"timed out mid-frame ({remaining} bytes short)"
+                    f"timed out mid-frame ({len(view) - filled} bytes short)"
                 )
             sock.settimeout(left)
         try:
-            chunk = sock.recv(min(remaining, 1 << 20))
+            got = sock.recv_into(view[filled:])
         except socket.timeout as exc:
             raise TruncatedFrame(
-                f"timed out mid-frame ({remaining} bytes short)"
+                f"timed out mid-frame ({len(view) - filled} bytes short)"
             ) from exc
-        if not chunk:
-            raise TruncatedFrame(f"connection closed mid-frame ({remaining} short)")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        if not got:
+            raise TruncatedFrame(
+                f"connection closed mid-frame ({len(view) - filled} short)"
+            )
+        filled += got
+
+
+def _recv_exact(
+    sock: socket.socket, count: int, deadline: float | None
+) -> bytearray:
+    """``count`` bytes from ``sock``, in a buffer of exactly that size.
+
+    A declared length is not trusted as an allocation: at most
+    :data:`_RECV_STEP` bytes are reserved before any arrive, and the
+    buffer then at most doubles each time it fills, so a peer that
+    declares 2 GiB and stalls costs the receiver 1 MiB.
+    """
+    buffer = bytearray(min(count, _RECV_STEP))
+    filled = 0
+    while True:
+        with memoryview(buffer) as view:
+            _recv_into(sock, view[filled:], deadline)
+        filled = len(buffer)
+        if filled == count:
+            return buffer
+        buffer.extend(bytes(min(filled, count - filled)))
 
 
 def read_frame(sock: socket.socket, timeout: float | None = None) -> Frame:
@@ -282,27 +339,47 @@ def read_frame(sock: socket.socket, timeout: float | None = None) -> Frame:
     has torn the stream — there is no resynchronization, the connection
     is dead).  Raises :class:`ConnectionError`-shaped
     :class:`TruncatedFrame` on a clean close before any byte.
+
+    The header and the body (with its trailing CRC) are read into their
+    own buffers, so the body starts an allocation of its own (aligned
+    for any dtype) and :attr:`Frame.body` is a read-only view of it.
     """
     deadline = None if timeout is None else time.monotonic() + timeout
     sock.settimeout(timeout)
     head = _recv_exact(sock, len(REMOTE_MAGIC) + _PREFIX.size, deadline)
     if head[: len(REMOTE_MAGIC)] != REMOTE_MAGIC:
-        raise CorruptFrame(f"bad magic {head[:4]!r}")
+        raise CorruptFrame(f"bad magic {bytes(head[:4])!r}")
     version, kind, header_len, body_len = _PREFIX.unpack_from(head, len(REMOTE_MAGIC))
     _check_lengths(version, header_len, body_len)
-    rest = _recv_exact(sock, header_len + body_len + _CRC.size, deadline)
-    (checksum,) = _CRC.unpack_from(rest, header_len + body_len)
-    checked = head[len(REMOTE_MAGIC) :] + rest[: header_len + body_len]
-    if zlib.crc32(checked) != checksum:
+    header_bytes = _recv_exact(sock, header_len, deadline)
+    tail = _recv_exact(sock, body_len + _CRC.size, deadline)
+    (checksum,) = _CRC.unpack_from(tail, body_len)
+    body = memoryview(tail).toreadonly()[:body_len]
+    crc = zlib.crc32(head[len(REMOTE_MAGIC) :])
+    if zlib.crc32(body, zlib.crc32(header_bytes, crc)) != checksum:
         raise CorruptFrame("checksum mismatch")
-    header = _parse_header(rest[:header_len])
-    return Frame(kind=kind, header=header, body=rest[header_len : header_len + body_len])
+    return Frame(kind=kind, header=_parse_header(header_bytes), body=body)
+
+
+def _send_parts(sock: socket.socket, parts) -> None:
+    """Write ``parts`` in order with gathered writes, resuming short ones."""
+    pending = [memoryview(part) for part in parts]
+    while pending:
+        sent = sock.sendmsg(pending)
+        while pending and sent >= len(pending[0]):
+            sent -= len(pending.pop(0))
+        if sent:
+            pending[0] = pending[0][sent:]
 
 
 def send_frame(
-    sock: socket.socket, kind: int, header: Mapping[str, Any], body: bytes = b""
+    sock: socket.socket, kind: int, header: Mapping[str, Any], body: Buffer = b""
 ) -> None:
     """Encode and write one frame, passing the ``remote.send.*`` failpoints.
+
+    The frame goes out as three gathered parts — magic, prefix and
+    header; the caller's body buffer itself; the CRC — so a body is
+    never copied on the way to the socket.
 
     The three sites model every way a network write can fail:
     ``remote.send.pre`` (connection already dead — nothing written),
@@ -313,46 +390,50 @@ def send_frame(
     :class:`~repro.testing.failpoints.FailpointError`, which callers
     treat exactly like :class:`OSError` — a dead peer.
     """
-    data = encode_frame(kind, header, body)
+    parts = _frame_parts(kind, header, body)
     failpoints.hit("remote.send.pre")
     if failpoints.is_armed("remote.send.torn"):
         try:
             failpoints.hit("remote.send.torn")
         except failpoints.FailpointError:
-            sock.sendall(data[: max(1, len(data) // 2)])
+            data = b"".join(parts)
+            _send_parts(sock, [data[: max(1, len(data) // 2)]])
             try:
                 sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
             raise
-        sock.sendall(data)
-    else:
-        sock.sendall(data)
+    _send_parts(sock, parts)
     failpoints.hit("remote.send.post")
 
 
 # ----------------------------------------------------------------------
 # Typed payload helpers
 # ----------------------------------------------------------------------
-def array_to_body(values: np.ndarray) -> tuple[dict[str, Any], bytes]:
+def array_to_body(values: np.ndarray) -> tuple[dict[str, Any], memoryview]:
     """A float64 matrix as ``(shape header fields, raw C-order bytes)``.
 
     The dtype is pinned to little-endian float64: it is what every
     execution path already computes in, and a fixed dtype is what makes
-    partials bit-comparable across heterogeneous nodes.
+    partials bit-comparable across heterogeneous nodes.  The bytes are
+    a view of ``values``' own memory when it is already a C-contiguous
+    ``<f8`` matrix (a resident row slice is), and of one contiguous
+    copy otherwise.
     """
     values = np.ascontiguousarray(values, dtype="<f8")
-    return {"shape": [int(n) for n in values.shape]}, values.tobytes()
+    body = memoryview(values.reshape(-1).view(np.uint8))
+    return {"shape": [int(n) for n in values.shape]}, body
 
 
-def body_to_array(header: Mapping[str, Any], body: bytes) -> np.ndarray:
-    """The float64 array of :func:`array_to_body`, or CorruptFrame."""
+def body_to_array(header: Mapping[str, Any], body: Buffer) -> np.ndarray:
+    """The float64 array of :func:`array_to_body` as a view of ``body``
+    (read-only when ``body`` is), or CorruptFrame."""
     try:
         shape = tuple(int(n) for n in header["shape"])
         # Exact integer size: a hostile shape must not wrap to the body length.
         if min(shape, default=0) < 0 or math.prod(shape) * 8 != len(body):
             raise ValueError(f"shape {shape} does not fit {len(body)} bytes")
-        return np.frombuffer(body, dtype="<f8").reshape(shape).copy()
+        return np.frombuffer(body, dtype="<f8").reshape(shape)
     except _MALFORMED as exc:
         raise CorruptFrame(f"malformed array: {exc!r}") from exc
 
@@ -394,7 +475,10 @@ class Segment(NamedTuple):
 
 
 def decode_segment(frame: Frame) -> Segment:
-    """A SEGMENT frame's address and read-only 2-D rows, or CorruptFrame."""
+    """A SEGMENT frame's address and read-only 2-D rows, or CorruptFrame.
+
+    The rows are the frame body's own buffer, not a copy of it.
+    """
     rows = body_to_array(frame.header, frame.body)
     if rows.ndim != 2:
         raise CorruptFrame(f"segment rows have shape {rows.shape}, not 2-D")

@@ -1079,6 +1079,200 @@ class TestDispatchFrames:
 
 
 # ----------------------------------------------------------------------
+# Copy-free frames: the bytes on the wire, receive allocation, node rows
+# ----------------------------------------------------------------------
+def _capture_send(kind, header, body) -> bytes:
+    """The exact bytes :func:`wire.send_frame` writes to a socket."""
+    left, right = socket.socketpair()
+    # A socket with a timeout takes short writes, as the coordinator's
+    # sessions do; a 1 MiB body overflows the pair's buffer several times.
+    left.settimeout(5.0)
+    received = bytearray()
+
+    def drain():
+        while chunk := right.recv(1 << 16):
+            received.extend(chunk)
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    try:
+        wire.send_frame(left, kind, header, body)
+        left.shutdown(socket.SHUT_WR)
+        reader.join(timeout=10.0)
+        assert not reader.is_alive()
+    finally:
+        left.close()
+        right.close()
+    return bytes(received)
+
+
+class TestWireIdentity:
+    """Gathered sends write exactly the bytes :func:`encode_frame` pins."""
+
+    @pytest.mark.parametrize("size", [0, 1, 65535, 1 << 20, (1 << 20) + 1])
+    def test_send_frame_writes_encode_frame_bytes(self, size):
+        body = np.random.default_rng(size).integers(0, 256, size, np.uint8).tobytes()
+        header = {"dataset": "d", "shard": 1}
+        sent = _capture_send(wire.SEGMENT, header, body)
+        assert sent == wire.encode_frame(wire.SEGMENT, header, body)
+        assert wire.decode_frame(sent).body == body
+
+    def test_array_body_is_the_rows_own_memory(self):
+        resident = np.arange(40, dtype=np.float64).reshape(10, 4)
+        _, body = wire.array_to_body(resident[2:6])
+        assert np.shares_memory(np.frombuffer(body, dtype="<f8"), resident)
+
+    @pytest.mark.parametrize("dataset", ["d", "dd"])  # odd and even headers
+    def test_segment_from_a_strided_slice_decodes_to_aligned_rows(self, dataset):
+        resident = np.random.default_rng(5).normal(size=(64, 6))
+        source = resident[::3, 1:4]
+        assert not source.flags.c_contiguous
+        header, body = wire.array_to_body(source)
+        header.update(dataset=dataset, version=1, shard=0)
+        left, right = socket.socketpair()
+        try:
+            wire.send_frame(left, wire.SEGMENT, header, body)
+            segment = wire.decode_segment(wire.read_frame(right, timeout=5.0))
+        finally:
+            left.close()
+            right.close()
+        rows = segment.rows
+        assert rows.flags.aligned and not rows.flags.writeable
+        assert rows.shape == source.shape
+        assert rows.tobytes() == np.ascontiguousarray(source).tobytes()
+
+    def test_frame_observer_sees_exactly_the_wire_bytes(self, node):
+        """perfbench's ``remote.bytes_per_query`` counts what crosses."""
+        import pickle
+
+        from repro.estimators.statistics import Mean
+        from repro.observability import MetricsRegistry
+        from repro.runtime.remote import RemoteShardBackend
+
+        observed = {"send": bytearray(), "recv": bytearray()}
+        crossed = {"send": bytearray(), "recv": bytearray()}
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def pump(source, sink, record):
+            while chunk := source.recv(1 << 16):
+                record.extend(chunk)
+                sink.sendall(chunk)
+            try:
+                sink.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass
+
+        def proxy():
+            coordinator, _ = listener.accept()
+            upstream = socket.create_connection(node)
+            pumps = [
+                threading.Thread(
+                    target=pump, args=(coordinator, upstream, crossed["send"])
+                ),
+                threading.Thread(
+                    target=pump, args=(upstream, coordinator, crossed["recv"])
+                ),
+            ]
+            for thread in pumps:
+                thread.start()
+            for thread in pumps:
+                thread.join(timeout=10.0)
+            coordinator.close()
+            upstream.close()
+
+        relay = threading.Thread(target=proxy, daemon=True)
+        relay.start()
+        spec = _spec(num_records=20_000, block_size=100, shards=2)
+        values = np.random.default_rng(8).uniform(0.0, 100.0, size=(20_000, 1))
+        backend = RemoteShardBackend(
+            shards=2,
+            nodes=[listener.getsockname()[:2]],
+            metrics=MetricsRegistry(),
+            frame_observer=lambda way, raw: observed[way].extend(raw),
+            heartbeat_interval=None,
+        )
+        try:
+            for _ in range(2):
+                _, batch = backend.run_sharded(pickle.dumps(Mean()), values, spec)
+                assert batch.succeeded.all()
+        finally:
+            backend.close()
+            relay.join(timeout=10.0)
+            listener.close()
+        assert not relay.is_alive()
+        assert len(crossed["send"]) > 20_000 * 8  # both segments crossed
+        assert observed == crossed
+
+
+class TestBoundedReceive:
+    """A declared length is never an up-front allocation."""
+
+    @pytest.mark.parametrize("ending", ["close", "stall"])
+    def test_declared_max_body_allocates_about_one_mib(self, ending):
+        import tracemalloc
+
+        header = b"{}"
+        prefix = wire.REMOTE_MAGIC + struct.pack(
+            "<HHIQ",
+            wire.REMOTE_PROTOCOL_VERSION,
+            wire.SEGMENT,
+            len(header),
+            wire.MAX_BODY_BYTES,
+        )
+        left, right = socket.socketpair()
+        tracemalloc.start()
+        try:
+            left.sendall(prefix + header)
+            if ending == "close":
+                left.close()
+            with pytest.raises(wire.TruncatedFrame):
+                wire.read_frame(right, timeout=0.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            left.close()
+            right.close()
+        assert peak < 4 << 20
+
+
+class TestNodeSessionGuard:
+    def test_memory_error_ends_only_the_session(self, node, monkeypatch):
+        """An unexpected exception is refused with ``internal``; the node
+        keeps serving and the next dial gets WELCOME."""
+        from repro.runtime.remote import node as node_module
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("plan too large for this host")
+
+        monkeypatch.setattr(node_module, "execute_shard_rows", exhausted)
+        header, body = wire.array_to_body(np.ones((50, 1)))
+        header.update(dataset="data", version=1, shard=0)
+        sock = _dial(node)
+        try:
+            wire.send_frame(sock, wire.SEGMENT, header, body)
+            wire.send_frame(
+                sock,
+                wire.EXECUTE,
+                {"qid": 3, "spec": SPEC_HEADER, "shards": [0]},
+                b"",
+            )
+            frames = _read_until_closed(sock)
+        finally:
+            sock.close()
+        assert [f.kind for f in frames] == [wire.ERROR]
+        assert frames[0].header == {
+            "code": "internal",
+            "error": "internal error: MemoryError",
+        }
+        again = _dial(node)
+        try:
+            wire.send_frame(again, wire.PING, {"token": 6})
+            assert wire.read_frame(again, timeout=5.0).kind == wire.PONG
+        finally:
+            again.close()
+
+
+# ----------------------------------------------------------------------
 # Live authentication battery (curator mode)
 # ----------------------------------------------------------------------
 CURATED_ROWS = np.arange(12, dtype=np.float64).reshape(6, 2)

@@ -316,7 +316,42 @@ class TestFederatedWireSentinels:
         assert tuple(federated.value) == tuple(in_process.value)
 
 
+#: Every ``remote.*`` metric the coordinator may emit: geometry, counts
+#: and seconds, none derived from a record or a block output.
+REMOTE_TELEMETRY = frozenset(
+    {
+        "remote.nodes",
+        "remote.shards",
+        "remote.queries",
+        "remote.segment_pushes",
+        "remote.heartbeats",
+        "remote.node_deaths",
+        "remote.reassigned_shards",
+        "remote.repushed_shards",
+        "remote.degraded_queries",
+        "remote.fallback_shards",
+        "remote.dispatch_seconds",
+        "remote.partial_rows",
+        "remote.segment_push_seconds",
+    }
+)
+
+
 class TestRemoteTelemetrySentinels:
+    def test_remote_metric_names_are_allowlisted(self, sentinel_manager):
+        """A new ``remote.*`` metric is reviewed into the list above first;
+        the push histogram observes once per query that pushed."""
+        metrics = MetricsRegistry()
+        _run_remote_observed(sentinel_manager, metrics, (SENTINEL_LO, SENTINEL_HI))
+        snapshot = metrics.snapshot()
+        remote_keys = {
+            k for section in ("counters", "gauges", "histograms")
+            for k in snapshot[section] if k.startswith("remote.")
+        }
+        assert remote_keys <= REMOTE_TELEMETRY, remote_keys - REMOTE_TELEMETRY
+        pushes = snapshot["histograms"]["remote.segment_push_seconds"]
+        assert pushes["count"] == 1  # one cold query
+
     def test_remote_metrics_never_touch_the_sentinel_band(self, sentinel_manager):
         """``remote.*`` telemetry is geometry, counts and seconds only."""
         metrics = MetricsRegistry()

@@ -210,16 +210,13 @@ class SampleAggregateEngine:
             )
             stacked = plan.stack(values)
         # The per-block list is only materialized when there is no
-        # rectangular stacked view (ragged grouped plans); the manager
-        # builds it lazily otherwise, so the vectorized fast path never
-        # creates per-block Python objects at all.
-        blocks = None if stacked is not None else plan.materialize(values)
+        # rectangular stacked view (ragged grouped plans), so the
+        # vectorized fast path never creates per-block Python objects.
         collected = self._manager.run_blocks_collected(
             program,
             output_dimension,
             np.asarray(fallback, dtype=float),
-            blocks=blocks,
-            stacked=stacked,
+            stacked if stacked is not None else plan.materialize(values),
         )
         failed = int(collected.num_blocks - collected.succeeded.sum())
         outputs = self._apply_canonical_order(collected.outputs, collected.succeeded)

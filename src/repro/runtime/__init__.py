@@ -10,9 +10,11 @@ with two chamber implementations and two data planes:
 * :class:`~repro.runtime.sandbox.InProcessChamber` — the same semantics
   (fresh program instance, output-only channel, cycle budget, constant
   fallback) enforced in-process for speed; used by the experiments.
-* :mod:`~repro.runtime.vectorized` — the batch fast path: programs that
-  declare ``run_batch`` run over the whole stacked block array in one
-  numpy call, bit-identical to the per-block backends.
+* :mod:`~repro.runtime.vectorized` — the one block executor
+  (``run_blocks``), shared by the computation manager and the shard
+  nodes, and its batch fast path: programs that declare ``run_batch``
+  run over the whole stacked block array in one numpy call,
+  bit-identical to per-block chamber calls.
 * :mod:`~repro.runtime.remote` — the shard coordinator, the one
   multi-process data plane: logical shards execute on shard nodes
   (threads, ``repro shard-node`` processes on this box, or other hosts).
@@ -40,7 +42,7 @@ _EXPORTS = {
     ),
     "repro.runtime.scheduler": ("QueryHandle", "QueryScheduler"),
     "repro.runtime.timing": ("TimingDefense",),
-    "repro.runtime.vectorized": ("VectorizedProgram", "stack_blocks", "supports_batch"),
+    "repro.runtime.vectorized": ("VectorizedProgram", "supports_batch"),
 }
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -17,7 +17,10 @@ Three execution backends trade isolation strength against dispatch cost:
 ``vectorized``
     The fast path of :mod:`repro.runtime.vectorized`: a program that
     declares a batch form (``run_batch``) runs over the whole stacked
-    block array in one numpy call — zero per-block dispatch.  Programs
+    block array in one numpy call — zero per-block dispatch.  The
+    backend only sets ``batch=True`` on
+    :func:`~repro.runtime.vectorized.run_blocks`, the block executor
+    every in-process path and every shard node shares.  Programs
     without a batch form, ragged block lists, batch calls that raise,
     and queries under an active timing defense all degrade transparently
     to the serial chamber path, counted per reason in
@@ -68,26 +71,15 @@ from repro.observability import MetricsRegistry, get_registry
 from repro.core.blocks import ShardPlanSummary
 from repro.runtime.sandbox import (
     AnalystProgram,
-    BlockExecution,
     ExecutionChamber,
     InProcessChamber,
+    timing_active,
 )
 from repro.runtime.remote import RemoteShardBackend
 from repro.runtime.shard import ShardQuerySpec
-from repro.runtime.timing import TimingDefense
-from repro.runtime.vectorized import (
-    BatchOutputs,
-    run_batch_blocks,
-    stack_blocks,
-    supports_batch,
-)
+from repro.runtime.vectorized import BatchOutputs, run_blocks
 
 BACKENDS = ("serial", "vectorized", "remote")
-
-
-def _enabled(timing: TimingDefense | None) -> TimingDefense | None:
-    """``timing`` when it enforces a cycle budget, else ``None``."""
-    return timing if timing is not None and timing.enabled else None
 
 
 class ComputationManager:
@@ -121,7 +113,9 @@ class ComputationManager:
         A pre-built :class:`~repro.runtime.remote.RemoteShardBackend`
         for the ``remote`` backend; ``None`` constructs one on demand.
         Its logical shard count must agree with ``shards`` when both
-        are given.
+        are given.  Configure its nodes and secret on the backend
+        itself: passing ``nodes`` or ``node_secret`` alongside it, or
+        passing it to another backend, raises :class:`ValueError`.
     nodes:
         For ``backend="remote"``: where the shard nodes are — a list of
         ``(host, port)`` / ``"host:port"`` addresses for an existing
@@ -132,9 +126,7 @@ class ComputationManager:
         backends.
     node_secret:
         For ``backend="remote"``: the shared node-authentication secret
-        handed to an auto-constructed :class:`RemoteShardBackend`
-        (ignored when ``sharded`` is pre-built — configure that backend
-        directly).
+        handed to an auto-constructed :class:`RemoteShardBackend`.
     """
 
     def __init__(
@@ -154,6 +146,13 @@ class ComputationManager:
             raise ValueError("shards must be >= 1 (or None for the default)")
         if isinstance(nodes, int) and nodes < 1:
             raise ValueError("nodes must be >= 1 (or None for one node)")
+        if sharded is not None and backend != "remote":
+            raise ValueError(f"sharded= needs backend='remote', not {backend!r}")
+        if sharded is not None and (nodes is not None or node_secret is not None):
+            raise ValueError(
+                "pass either sharded= or nodes=/node_secret=, not both "
+                "(configure a pre-built backend's nodes on the backend)"
+            )
         self._chamber = chamber or InProcessChamber(metrics=metrics)
         self._metrics = metrics
         self._backend = backend
@@ -239,20 +238,21 @@ class ComputationManager:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def run_blocks(
+    def run_blocks_collected(
         self,
         program: AnalystProgram,
-        blocks: Sequence[np.ndarray],
         output_dimension: int,
         fallback: np.ndarray,
-        stacked: np.ndarray | None = None,
-    ) -> list[BlockExecution]:
-        """Run ``program`` on every block; one outcome per block, in order.
+        blocks: np.ndarray | Sequence[np.ndarray],
+    ) -> BatchOutputs:
+        """Run ``program`` on every block; outcomes in matrix form, in order.
 
-        ``stacked``, when given, is the ``(l, block_size, d)`` stacked
-        view of exactly the same ``blocks`` (as produced by
-        :meth:`BlockPlan.stack`); the vectorized backend consumes it
-        directly instead of re-stacking, the other backends ignore it.
+        ``blocks`` is the ``(l, block_size, d)`` stack (as produced by
+        :meth:`BlockPlan.stack`), or the block list of a ragged grouped
+        plan.  The blocks run through
+        :func:`~repro.runtime.vectorized.run_blocks` on the calling
+        thread; the ``vectorized`` backend asks it to try the fused
+        batch form first and counts why it could not.
 
         Raises :class:`ComputationError` only when *every* block failed,
         which signals a systemic problem (wrong output dimension, program
@@ -260,76 +260,29 @@ class ComputationManager:
         failures are kept as fallback outputs — turning them into errors
         would create the exact side channel the chambers exist to close.
         """
-        return self._run_blocks_impl(
-            program, blocks, output_dimension, fallback, stacked, try_batch=True
-        )
-
-    def run_blocks_collected(
-        self,
-        program: AnalystProgram,
-        output_dimension: int,
-        fallback: np.ndarray,
-        blocks: Sequence[np.ndarray] | None = None,
-        stacked: np.ndarray | None = None,
-    ) -> BatchOutputs:
-        """Run every block and return the outcomes in matrix form.
-
-        Same semantics as :meth:`run_blocks` — same telemetry, same
-        all-blocks-failed error, same per-block fallback substitution —
-        but the result is the ``(l, p)`` output matrix plus a success
-        mask instead of per-block execution records.  On the vectorized
-        fast path that matrix is handed through *directly* from the
-        fused batch call, so no per-block Python objects are built at
-        all; the other backends run chambers and collect.
-
-        ``blocks`` may be omitted when ``stacked`` covers the whole
-        plan; the per-block list is then materialized only if a chamber
-        path actually needs it.
-        """
         fallback = self._validate_shape(output_dimension, fallback)
-        if self._backend == "vectorized":
-            # Empty input is a caller error, not a plan-shape degrade:
-            # raise before _try_batch so the telemetry never counts a
-            # vectorized fallback for a query that had nothing to run.
-            if stacked is None and not blocks:
-                raise ComputationError("no blocks to execute")
-            metrics = self._metrics or get_registry()
-            batch = self._try_batch(
-                metrics, program, blocks, output_dimension, fallback, stacked
+        # Empty input is a caller error, not a plan-shape degrade: raise
+        # before the executor so telemetry never counts a vectorized
+        # fallback for a query that had nothing to run.
+        if len(blocks) == 0:
+            raise ComputationError("no blocks to execute")
+        metrics = self._metrics or get_registry()
+        metrics.gauge("blocks.pool_width").set(1)
+        vectorized = self._backend == "vectorized"
+        started = time.perf_counter()
+        batch, reason = run_blocks(
+            self._chamber, program, blocks, output_dimension, fallback,
+            batch=vectorized,
+        )
+        if reason is not None:
+            metrics.counter("vectorized.fallbacks", reason=reason).inc()
+        elif vectorized:
+            metrics.counter("vectorized.batches").inc()
+            metrics.histogram("vectorized.batch_seconds").observe(
+                time.perf_counter() - started
             )
-            if batch is not None:
-                succeeded = int(batch.succeeded.sum())
-                self._count_outcomes(
-                    metrics, batch.num_blocks, succeeded, killed=0
-                )
-                if succeeded == 0:
-                    raise ComputationError(self._all_failed_message(output_dimension))
-                return batch
-        # Chamber path (including a counted vectorized degrade):
-        # run the per-block contract, then collect to matrix form.
-        if blocks is None:
-            if stacked is None:
-                blocks = []
-            elif stacked.flags.writeable:
-                blocks = list(stacked)
-            else:
-                # A caller's read-only stack: chambers run programs that
-                # may legitimately mutate their block in place, so hand
-                # each one a copy — mutation degrades to a copy, never a
-                # write error or corruption.
-                blocks = [np.array(block) for block in stacked]
-        executions = self._run_blocks_impl(
-            program, blocks, output_dimension, fallback, stacked, try_batch=False
-        )
-        outputs = np.vstack([e.output for e in executions])
-        succeeded = np.fromiter(
-            (e.succeeded for e in executions), dtype=bool, count=len(executions)
-        )
-        return BatchOutputs(
-            outputs=outputs,
-            succeeded=succeeded,
-            elapsed=float(sum(e.elapsed for e in executions)),
-        )
+            metrics.histogram("vectorized.blocks_per_batch").observe(batch.num_blocks)
+        return self._settle(metrics, batch, output_dimension)
 
     def run_sharded_collected(
         self,
@@ -371,7 +324,7 @@ class ComputationManager:
             metrics.counter("sharded.fallbacks", reason=reason).inc()
             return None
 
-        if self._timing_active():
+        if timing_active(self._chamber):
             return degrade("timing_defense")
         try:
             program_bytes = pickle.dumps(program)
@@ -398,48 +351,7 @@ class ComputationManager:
         )
         metrics.gauge("blocks.pool_width").set(self._sharded.nodes)
         summary, batch = self._sharded.run_sharded(program_bytes, values, spec)
-        succeeded = int(batch.succeeded.sum())
-        self._count_outcomes(metrics, batch.num_blocks, succeeded, killed=0)
-        metrics.histogram("blocks.latency_seconds").observe_many(
-            [batch.per_block_elapsed] * batch.num_blocks
-        )
-        if succeeded == 0:
-            raise ComputationError(self._all_failed_message(output_dimension))
-        return summary, batch
-
-    def _run_blocks_impl(
-        self, program, blocks, output_dimension, fallback, stacked, try_batch
-    ) -> list[BlockExecution]:
-        fallback = self._validate_shape(output_dimension, fallback)
-        blocks = list(blocks)
-        if not blocks:
-            raise ComputationError("no blocks to execute")
-
-        metrics = self._metrics or get_registry()
-        batch = None
-        if try_batch and self._backend == "vectorized":
-            batch = self._try_batch(
-                metrics, program, blocks, output_dimension, fallback, stacked
-            )
-        if batch is not None:
-            results = batch.to_executions()
-        else:
-            # Serial — and the vectorized and remote backends' degraded
-            # paths, whose fallback reasons are already counted.
-            results = self._run_chambers(
-                metrics, program, blocks, output_dimension, fallback
-            )
-
-        succeeded = sum(1 for r in results if r.succeeded)
-        killed = sum(1 for r in results if r.killed)
-        self._count_outcomes(metrics, len(results), succeeded, killed)
-
-        if succeeded == 0:
-            raise ComputationError(self._all_failed_message(output_dimension))
-        return results
-
-    def _timing_active(self) -> bool:
-        return _enabled(getattr(self._chamber, "timing", None)) is not None
+        return summary, self._settle(metrics, batch, output_dimension)
 
     @staticmethod
     def _validate_shape(output_dimension: int, fallback) -> np.ndarray:
@@ -453,71 +365,17 @@ class ComputationManager:
         return fallback
 
     @staticmethod
-    def _count_outcomes(metrics, executed: int, succeeded: int, killed: int) -> None:
-        metrics.counter("blocks.executed").inc(executed)
+    def _settle(metrics, batch: BatchOutputs, output_dimension: int) -> BatchOutputs:
+        """Record block telemetry; raise if every block failed."""
+        succeeded = int(batch.succeeded.sum())
+        metrics.counter("blocks.executed").inc(batch.num_blocks)
         metrics.counter("blocks.success").inc(succeeded)
-        metrics.counter("blocks.fallback").inc(executed - succeeded)
-        metrics.counter("blocks.killed").inc(killed)
-
-    @staticmethod
-    def _all_failed_message(output_dimension: int) -> str:
-        return (
-            "analyst program failed on every block; check that it returns "
-            f"a finite vector of dimension {output_dimension}"
-        )
-
-    # -- vectorized backend ----------------------------------------------
-    def _try_batch(
-        self, metrics, program, blocks, output_dimension, fallback, stacked
-    ) -> BatchOutputs | None:
-        """The fused batch call, or ``None`` after counting the reason."""
-
-        def degrade(reason: str) -> None:
-            metrics.counter("vectorized.fallbacks", reason=reason).inc()
-            return None
-
-        if not supports_batch(program):
-            return degrade("no_batch_form")
-        # Per-block kill-and-pad semantics cannot apply to one fused call;
-        # an active cycle budget forces the chamber path so the timing
-        # defense is never silently lost.
-        if self._timing_active():
-            return degrade("timing_defense")
-        if stacked is None and blocks is not None:
-            stacked = stack_blocks(blocks)
-        if stacked is None:
-            return degrade("ragged_blocks")
-
-        metrics.gauge("blocks.pool_width").set(1)
-        started = time.perf_counter()
-        batch = run_batch_blocks(program, stacked, output_dimension, fallback)
-        if batch is None:
-            return degrade("batch_error")
-        metrics.counter("vectorized.batches").inc()
-        metrics.histogram("vectorized.batch_seconds").observe(
-            time.perf_counter() - started
-        )
-        metrics.histogram("vectorized.blocks_per_batch").observe(batch.num_blocks)
-        metrics.histogram("blocks.latency_seconds").observe_many(
-            [batch.per_block_elapsed] * batch.num_blocks
-        )
-        return batch
-
-    # -- in-process chambers -------------------------------------------
-    def _run_chambers(
-        self, metrics, program, blocks, output_dimension, fallback
-    ) -> list[BlockExecution]:
-        # Blocks run one after another on the calling thread.
-        metrics.gauge("blocks.pool_width").set(1)
-        # Latencies batch locally and flush in one histogram update, so
-        # the per-block cost is a clock read and a list append.
-        durations: list[float] = []
-        results = []
-        for block in blocks:
-            started = time.perf_counter()
-            results.append(
-                self._chamber.run_block(program, block, output_dimension, fallback)
+        metrics.counter("blocks.fallback").inc(batch.num_blocks - succeeded)
+        metrics.counter("blocks.killed").inc(batch.killed)
+        metrics.histogram("blocks.latency_seconds").observe_many(batch.block_latencies)
+        if succeeded == 0:
+            raise ComputationError(
+                "analyst program failed on every block; check that it returns "
+                f"a finite vector of dimension {output_dimension}"
             )
-            durations.append(time.perf_counter() - started)
-        metrics.histogram("blocks.latency_seconds").observe_many(durations)
-        return results
+        return batch

@@ -88,8 +88,24 @@ class ExecutionChamber(Protocol):
         ...  # pragma: no cover - protocol declaration
 
 
+def timing_active(chamber: ExecutionChamber) -> bool:
+    """Whether ``chamber`` enforces a cycle budget (the §6 timing defense).
+
+    The one test of it: every fast path that cannot reproduce per-block
+    kill-and-pad degrades to the chamber path while this holds.
+    """
+    timing = getattr(chamber, "timing", None)
+    return timing is not None and timing.enabled
+
+
 class InProcessChamber:
     """Fast chamber enforcing isolation semantics inside the process.
+
+    Each block gets a fresh program instance, so instance attributes
+    cannot carry state across blocks: the program is pickled once
+    (cached by identity) and ``pickle.loads``-ed per block; programs
+    pickle cannot handle fall back to ``copy.deepcopy``.  Plain
+    functions round-trip to themselves.
 
     Parameters
     ----------
@@ -99,13 +115,6 @@ class InProcessChamber:
     policy:
         Optional MAC policy; when given, the policy shim is active for
         the duration of each block (network blocked, writes confined).
-    fresh_instance:
-        Give each block a fresh program instance so instance attributes
-        cannot carry state across blocks.  The program is pickled once
-        (cached by identity) and ``pickle.loads``-ed per block, which is
-        far cheaper than the old per-block ``copy.deepcopy``; programs
-        pickle cannot handle fall back to deepcopy.  Plain functions
-        round-trip to themselves (they are copied trivially).
     metrics:
         Registry receiving the chamber's kill/pad telemetry; ``None``
         uses the process default.
@@ -115,18 +124,16 @@ class InProcessChamber:
         self,
         timing: TimingDefense | None = None,
         policy: MACPolicy | None = None,
-        fresh_instance: bool = True,
         metrics: MetricsRegistry | None = None,
     ):
         self._timing = timing or TimingDefense(cycle_budget=None)
         self._policy = policy
-        self._fresh_instance = fresh_instance
         self._metrics = metrics
         # (program, serialized bytes or None) — one entry, swapped when a
         # different program arrives.  Holding the program itself (not its
         # id) makes the identity check immune to id reuse, and the tuple
-        # swap is atomic so concurrent run_block calls from the thread
-        # backend can never see a mismatched pair.
+        # swap is atomic so concurrent run_block calls from scheduler
+        # workers sharing one manager can never see a mismatched pair.
         self._pickle_cache: tuple[AnalystProgram, bytes | None] | None = None
 
     @property
@@ -158,9 +165,8 @@ class InProcessChamber:
         output_dimension: int,
         fallback: np.ndarray,
     ) -> BlockExecution:
-        instance = self._instantiate(program) if self._fresh_instance else program
         started = time.perf_counter()
-        result = self._call_with_budget(instance, block)
+        result = self._call_with_budget(program, block)
         elapsed = time.perf_counter() - started
 
         killed = result is _TIMED_OUT or self._timing.exceeded(elapsed)
@@ -176,9 +182,15 @@ class InProcessChamber:
             )
         return BlockExecution(output=output, succeeded=True, killed=False, elapsed=elapsed)
 
-    def _call_with_budget(self, instance: AnalystProgram, block: np.ndarray):
-        """Call the program, applying policy shim and cycle budget."""
+    def _call_with_budget(self, program: AnalystProgram, block: np.ndarray):
+        """Call a fresh instance, applying policy shim and cycle budget.
+
+        Instantiating runs inside the guard, so a program that can be
+        neither pickled nor deep-copied fails its block instead of
+        raising to the caller.
+        """
         def invoke():
+            instance = self._instantiate(program)
             if self._policy is not None:
                 with self._policy.enforced():
                     return instance(block)

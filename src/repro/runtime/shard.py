@@ -15,9 +15,11 @@ nodes (:mod:`repro.runtime.remote.node`) on this box or others.
 * **Shard-local planning and execution.**  :func:`execute_shard_rows`
   draws shard ``s``'s block plan from ``spawn(plan_seed, S)[s]`` (the
   protocol of :func:`repro.core.blocks.draw_sharded_plan`), gathers its
-  stacked materialization in one pass, and runs the program —
-  vectorized ``run_batch`` when the program declares one, per-block
-  fresh-instance execution otherwise.  Nothing is memoized: every query
+  stacked materialization in one pass, and runs the program through
+  :func:`repro.runtime.vectorized.run_blocks`, the block executor the
+  coordinator uses too — vectorized ``run_batch`` when the program
+  declares one, a plain :class:`~repro.runtime.sandbox.InProcessChamber`
+  per block otherwise.  Nothing is memoized: every query
   carries a fresh 63-bit ``plan_seed`` (and the coordinator's answer
   cache serves same-seed repeats before they ship), so a shard-local
   plan cache could never hit and would only pin gathered rows of past
@@ -42,12 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.blocks import draw_shard_local_plan
-from repro.runtime.vectorized import (
-    BatchOutputs,
-    run_batch_blocks,
-    run_stacked_serial,
-    supports_batch,
-)
+from repro.runtime.sandbox import InProcessChamber
+from repro.runtime.vectorized import run_blocks
 
 #: Datasets a shard executor keeps resident at once (the node segment
 #: LRU, mirrored by the coordinator's cache of pushable values).
@@ -77,6 +75,11 @@ class ShardQuerySpec:
     fallback: tuple[float, ...]
     clamp_lo: tuple[float, ...] | None = None
     clamp_hi: tuple[float, ...] | None = None
+
+
+def _unloadable(block: np.ndarray) -> float:
+    """Stands in for a program that failed to unpickle: every block fails."""
+    raise ValueError("program failed to unpickle")
 
 
 def execute_shard_rows(
@@ -116,20 +119,16 @@ def execute_shard_rows(
         )
 
     # A program that cannot even be loaded fails every block under the
-    # chamber rule (fallback rows, ``succeeded=False``) — the per-block
-    # path below re-raises inside its own guard — rather than taking
-    # the executor down with it.
+    # chamber rule (fallback rows, ``succeeded=False``) rather than
+    # taking the executor down with it.
     try:
         program = pickle.loads(program_bytes)
     except Exception:  # noqa: BLE001 - hostile or broken program
-        program = None
-    batch: BatchOutputs | None = None
-    if program is not None and supports_batch(program):
-        batch = run_batch_blocks(program, stacked, spec.output_dimension, fallback)
-    if batch is None:
-        batch = run_stacked_serial(
-            program_bytes, stacked, spec.output_dimension, fallback
-        )
+        program = _unloadable
+    batch, _ = run_blocks(
+        InProcessChamber(), program, stacked, spec.output_dimension, fallback,
+        batch=True,
+    )
     outputs = batch.outputs
     if spec.clamp_lo is not None:
         # Clamp before anything crosses the shard boundary.  Aggregation

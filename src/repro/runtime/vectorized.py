@@ -37,8 +37,15 @@ defense it cannot reproduce:
   fallback that may follow a failed batch call within the same query.
 * *timing attack* — per-block kill-and-pad semantics cannot be applied
   to a single fused call, so whenever a cycle budget is configured the
-  manager transparently degrades to the chamber path (counted in
+  executor transparently degrades to the chamber path (counted in
   ``vectorized.fallbacks``).
+
+**One block executor.**  :func:`run_blocks` is the only place a block
+array becomes an ``(l, p)`` :class:`BatchOutputs`: the coordinator's
+:class:`~repro.runtime.computation_manager.ComputationManager` and
+every shard node's kernel (:func:`repro.runtime.shard.execute_shard_rows`)
+both call it, so the choice between the batch form and per-block
+chamber calls — and the rules of each — is made in one function.
 """
 
 from __future__ import annotations
@@ -51,22 +58,27 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from repro.runtime.sandbox import BlockExecution, _coerce_output
+from repro.runtime.sandbox import AnalystProgram, ExecutionChamber, timing_active
 
 
 @dataclass(frozen=True)
 class BatchOutputs:
     """All block outcomes in matrix form.
 
-    The fast path's native product — and the collected form of a
-    chamber run.  Keeping outcomes as one ``(l, p)`` matrix plus a
-    success mask (instead of ``l`` execution records) is what lets a
-    warm-cache vectorized query stay O(1) in Python-object work.
+    What :func:`run_blocks` returns, whichever way the blocks ran, and
+    what the shard coordinator combines node partials into.  Keeping
+    outcomes as one ``(l, p)`` matrix plus a success mask (instead of
+    ``l`` execution records) is what lets a warm-cache vectorized query
+    stay O(1) in Python-object work.
     """
 
     outputs: np.ndarray  # (l, p); malformed rows already substituted
     succeeded: np.ndarray  # (l,) bool mask
     elapsed: float  # wall-clock of the whole batch
+    killed: int = 0  # blocks the chamber's cycle budget killed
+    # One wall-clock per chamber call, padding included; ``None`` when
+    # one fused call, or the shard nodes, produced the rows.
+    latencies: list[float] | None = None
 
     @property
     def num_blocks(self) -> int:
@@ -81,18 +93,12 @@ class BatchOutputs:
         """
         return self.elapsed / max(1, self.num_blocks)
 
-    def to_executions(self) -> list[BlockExecution]:
-        """Expand to per-block records for callers on the list contract."""
-        per_block = self.per_block_elapsed
-        return [
-            BlockExecution(
-                output=self.outputs[i].copy(),
-                succeeded=bool(self.succeeded[i]),
-                killed=False,
-                elapsed=per_block,
-            )
-            for i in range(self.num_blocks)
-        ]
+    @property
+    def block_latencies(self) -> list[float]:
+        """One ``blocks.latency_seconds`` observation per block."""
+        if self.latencies is not None:
+            return self.latencies
+        return [self.per_block_elapsed] * self.num_blocks
 
 
 @runtime_checkable
@@ -118,21 +124,6 @@ def supports_batch(program) -> bool:
         return callable(getattr(program, "run_batch", None))
     except Exception:  # noqa: BLE001 - any failure is "no batch form"
         return False
-
-
-def stack_blocks(blocks: Sequence[np.ndarray]) -> np.ndarray | None:
-    """Stack uniform blocks into one ``(l, block_size, d)`` array.
-
-    Callers that hold a plan-materialized stacked view should pass it
-    through instead; this is the fallback for ad-hoc block lists.
-    Returns ``None`` when block shapes are ragged (grouped plans).
-    """
-    if not blocks:
-        return None
-    first = blocks[0].shape
-    if any(b.shape != first for b in blocks):
-        return None
-    return np.stack(blocks)
 
 
 def _fresh_instance(program):
@@ -196,40 +187,60 @@ def run_batch_blocks(
     return BatchOutputs(outputs=matrix, succeeded=finite, elapsed=elapsed)
 
 
-def run_stacked_serial(
-    program_bytes: bytes,
-    stacked: np.ndarray,
+def run_blocks(
+    chamber: ExecutionChamber,
+    program: AnalystProgram,
+    blocks: np.ndarray | Sequence[np.ndarray],
     output_dimension: int,
     fallback: np.ndarray,
-) -> BatchOutputs:
-    """Per-block execution over a stacked array, collected in matrix form.
+    batch: bool = False,
+) -> tuple[BatchOutputs, str | None]:
+    """Run ``program`` on every block; the one block executor.
 
-    The shard nodes' slow path: a program with no usable batch form
-    runs block-by-block against a *fresh* ``pickle.loads`` instance per
-    block — the same instance-freshness guarantee the chambers give, so
-    no state can carry between blocks — with the chamber's malformed-
-    output rule (fallback substitution, ``succeeded=False``).  Outputs
-    are bit-identical to the serial chamber path for deterministic
-    programs: same block values, same per-block call.
+    ``blocks`` is the ``(l, block_size, d)`` stack, or the list of
+    blocks of a ragged (grouped) plan.  With ``batch`` the fused
+    ``run_batch`` call is tried first — this is the only place a batch
+    form is ever honoured — and the second value names why it was not
+    used (``no_batch_form``, ``timing_defense``, ``ragged_blocks`` or
+    ``batch_error``; ``None`` when it was, or was not asked for).
+    Otherwise every block goes through ``chamber`` on the calling
+    thread, under the chamber rule: fresh instance, fallback
+    substitution, cycle budget.
     """
-    fallback = np.asarray(fallback, dtype=float).ravel()
-    num_blocks = int(stacked.shape[0])
-    outputs = np.empty((num_blocks, output_dimension), dtype=float)
-    succeeded = np.zeros(num_blocks, dtype=bool)
-    started = time.perf_counter()
-    for i in range(num_blocks):
-        try:
-            raw = pickle.loads(program_bytes)(stacked[i])
-        except Exception:  # noqa: BLE001 - any failure becomes fallback
-            raw = None
-        vector = None if raw is None else _coerce_output(raw, output_dimension)
-        if vector is None:
-            outputs[i] = fallback
+    reason = None
+    if batch:
+        if not supports_batch(program):
+            reason = "no_batch_form"
+        elif timing_active(chamber):
+            # Per-block kill-and-pad semantics cannot apply to one fused
+            # call; an active cycle budget forces the chamber path so
+            # the timing defense is never silently lost.
+            reason = "timing_defense"
+        elif not isinstance(blocks, np.ndarray):
+            reason = "ragged_blocks"
         else:
-            outputs[i] = vector
-            succeeded[i] = True
-    return BatchOutputs(
-        outputs=outputs,
-        succeeded=succeeded,
-        elapsed=time.perf_counter() - started,
-    )
+            fused = run_batch_blocks(program, blocks, output_dimension, fallback)
+            if fused is not None:
+                return fused, None
+            reason = "batch_error"
+
+    # Chambers run programs that may legitimately mutate their block in
+    # place; a caller's read-only stack hands each one a copy, so
+    # mutation degrades to a copy, never a write error or corruption.
+    copy_rows = isinstance(blocks, np.ndarray) and not blocks.flags.writeable
+    outputs = np.empty((len(blocks), output_dimension), dtype=float)
+    succeeded = np.zeros(len(blocks), dtype=bool)
+    latencies: list[float] = []
+    killed = 0
+    started = time.perf_counter()
+    for i, block in enumerate(blocks):
+        if copy_rows:
+            block = np.array(block)
+        call_started = time.perf_counter()
+        execution = chamber.run_block(program, block, output_dimension, fallback)
+        latencies.append(time.perf_counter() - call_started)
+        outputs[i] = execution.output
+        succeeded[i] = execution.succeeded
+        killed += execution.killed
+    elapsed = time.perf_counter() - started
+    return BatchOutputs(outputs, succeeded, elapsed, killed, latencies), reason

@@ -13,6 +13,7 @@ from repro.runtime.sandbox import InProcessChamber
 from repro.runtime.timing import TimingDefense
 
 BLOCKS = [np.full((10, 1), float(i)) for i in range(5)]
+STACKED = np.stack(BLOCKS)
 
 # The remote fan-out fixture: 64 rows at S = 4 shards on 4 nodes, 16
 # disjoint blocks of 4 rows (resampling factor 1), so row value ``v``
@@ -85,21 +86,21 @@ def _serial_reference(program):
     plan = draw_sharded_plan(
         FAN_OUT_VALUES.shape[0], shards=NODES, **FAN_OUT_PLAN
     )
-    return ComputationManager().run_blocks(
-        program, plan.materialize(FAN_OUT_VALUES), 1, np.array([-1.0])
+    return ComputationManager().run_blocks_collected(
+        program, 1, np.array([-1.0]), plan.stack(FAN_OUT_VALUES)
     )
 
 
 class TestRunBlocks:
     def test_one_outcome_per_block_in_order(self):
         manager = ComputationManager()
-        results = manager.run_blocks(mean_program, BLOCKS, 1, np.array([0.0]))
-        assert [r.output[0] for r in results] == [0.0, 1.0, 2.0, 3.0, 4.0]
+        results = manager.run_blocks_collected(mean_program, 1, np.array([0.0]), STACKED)
+        assert results.outputs[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_parallel_matches_serial(self):
         expected = _serial_reference(mean_program)
         batch = _fan_out(mean_program)
-        assert batch.outputs[:, 0].tolist() == [r.output[0] for r in expected]
+        assert batch.outputs[:, 0].tolist() == expected.outputs[:, 0].tolist()
 
     def test_partial_failure_uses_fallback(self):
         def failing_on_even(block):
@@ -108,8 +109,10 @@ class TestRunBlocks:
             return float(np.mean(block))
 
         manager = ComputationManager()
-        results = manager.run_blocks(failing_on_even, BLOCKS, 1, np.array([-1.0]))
-        assert [r.output[0] for r in results] == [-1.0, 1.0, -1.0, 3.0, -1.0]
+        results = manager.run_blocks_collected(
+            failing_on_even, 1, np.array([-1.0]), STACKED
+        )
+        assert results.outputs[:, 0].tolist() == [-1.0, 1.0, -1.0, 3.0, -1.0]
 
     def test_total_failure_raises(self):
         def always_fails(block):
@@ -117,19 +120,21 @@ class TestRunBlocks:
 
         manager = ComputationManager()
         with pytest.raises(ComputationError):
-            manager.run_blocks(always_fails, BLOCKS, 1, np.array([0.0]))
+            manager.run_blocks_collected(always_fails, 1, np.array([0.0]), STACKED)
 
     def test_empty_blocks_rejected(self):
         with pytest.raises(ComputationError):
-            ComputationManager().run_blocks(mean_program, [], 1, np.array([0.0]))
+            ComputationManager().run_blocks_collected(mean_program, 1, np.array([0.0]), [])
 
     def test_bad_output_dimension_rejected(self):
         with pytest.raises(ComputationError):
-            ComputationManager().run_blocks(mean_program, BLOCKS, 0, np.array([0.0]))
+            ComputationManager().run_blocks_collected(mean_program, 0, np.array([0.0]), STACKED)
 
     def test_fallback_shape_mismatch_rejected(self):
         with pytest.raises(ComputationError):
-            ComputationManager().run_blocks(mean_program, BLOCKS, 1, np.array([0.0, 1.0]))
+            ComputationManager().run_blocks_collected(
+                mean_program, 1, np.array([0.0, 1.0]), STACKED
+            )
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
@@ -147,18 +152,18 @@ class TestParallelFanOut:
         # order; the outputs must still follow the combined plan.
         expected = _serial_reference(skewed_by_row_program)
         batch = _fan_out(skewed_by_row_program)
-        assert batch.outputs[:, 0].tolist() == [r.output[0] for r in expected]
+        assert batch.outputs[:, 0].tolist() == expected.outputs[:, 0].tolist()
 
     def test_partial_failures_counted_and_substituted(self):
         expected = _serial_reference(failing_on_even_program)
-        failed = sum(1 for r in expected if not r.succeeded)
-        assert 0 < failed < len(expected)
+        failed = int((~expected.succeeded).sum())
+        assert 0 < failed < expected.num_blocks
         metrics = MetricsRegistry()
         batch = _fan_out(failing_on_even_program, metrics=metrics)
-        assert batch.outputs[:, 0].tolist() == [r.output[0] for r in expected]
-        assert batch.succeeded.tolist() == [r.succeeded for r in expected]
-        assert metrics.counter("blocks.executed").value == len(expected)
-        assert metrics.counter("blocks.success").value == len(expected) - failed
+        assert batch.outputs[:, 0].tolist() == expected.outputs[:, 0].tolist()
+        assert batch.succeeded.tolist() == expected.succeeded.tolist()
+        assert metrics.counter("blocks.executed").value == expected.num_blocks
+        assert metrics.counter("blocks.success").value == expected.num_blocks - failed
         assert metrics.counter("blocks.fallback").value == failed
         assert metrics.gauge("blocks.pool_width").value == NODES
 
@@ -193,18 +198,20 @@ class TestBackendSelection:
     def test_result_ordering_is_block_order(self, backend):
         # Per-block outputs encode the block index while completion
         # order is inverted; every backend must return submission order.
-        blocks = [np.full((4, 1), float(i)) for i in range(8)]
+        blocks = np.stack([np.full((4, 1), float(i)) for i in range(8)])
         with _manager_for(backend) as manager:
-            results = manager.run_blocks(
-                shuffle_sensitive_program, blocks, 1, np.array([-1.0])
+            results = manager.run_blocks_collected(
+                shuffle_sensitive_program, 1, np.array([-1.0]), blocks
             )
-        assert [r.output[0] for r in results] == [float(i) for i in range(8)]
+        assert results.outputs[:, 0].tolist() == [float(i) for i in range(8)]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_all_blocks_failed_raises_on_every_backend(self, backend):
         with _manager_for(backend) as manager:
             with pytest.raises(ComputationError):
-                manager.run_blocks(always_fails_program, BLOCKS, 1, np.array([0.0]))
+                manager.run_blocks_collected(
+                    always_fails_program, 1, np.array([0.0]), STACKED
+                )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -213,12 +220,16 @@ def test_chamber_timing_is_enforced_on_every_backend(backend):
     # the blocks must kill the over-budget block and substitute the
     # fallback.
     timing = TimingDefense(cycle_budget=0.05, pad=False)
+    metrics = MetricsRegistry()
     with ComputationManager(
-        chamber=InProcessChamber(timing=timing), backend=backend
+        chamber=InProcessChamber(timing=timing), backend=backend, metrics=metrics
     ) as manager:
-        results = manager.run_blocks(slow_on_two, BLOCKS[:4], 1, np.array([-1.0]))
-    assert [r.killed for r in results] == [False, False, True, False]
-    assert [r.output[0] for r in results] == [0.0, 1.0, -1.0, 3.0]
+        results = manager.run_blocks_collected(
+            slow_on_two, 1, np.array([-1.0]), STACKED[:4]
+        )
+    assert results.succeeded.tolist() == [True, True, False, True]
+    assert metrics.counter("blocks.killed").value == 1
+    assert results.outputs[:, 0].tolist() == [0.0, 1.0, -1.0, 3.0]
 
 
 class TestPoolWidth:
@@ -227,7 +238,7 @@ class TestPoolWidth:
     @staticmethod
     def _run_blocks(metrics, backend, program):
         with ComputationManager(backend=backend, metrics=metrics) as manager:
-            manager.run_blocks(program, BLOCKS, 1, np.array([0.0]))
+            manager.run_blocks_collected(program, 1, np.array([0.0]), STACKED)
 
     @pytest.mark.parametrize(
         "path, expected",

@@ -106,20 +106,12 @@ class TestInProcessChamber:
         assert elapsed >= 0.095
 
     def test_fresh_instance_prevents_state_carryover(self):
-        chamber = InProcessChamber(fresh_instance=True)
+        chamber = InProcessChamber()
         program = StatefulProgram()
         chamber.run_block(program, BLOCK, 1, FALLBACK)
         chamber.run_block(program, BLOCK, 1, FALLBACK)
         # The attacker-held original saw nothing.
         assert program.calls == []
-
-    def test_shared_instance_mode_leaks_state(self):
-        # Negative control: turning the defense off shows the leak the
-        # defense exists to stop.
-        chamber = InProcessChamber(fresh_instance=False)
-        program = StatefulProgram()
-        chamber.run_block(program, BLOCK, 1, FALLBACK)
-        assert program.calls == [20]
 
     def test_pickled_bytes_cached_across_blocks(self):
         # The program serializes once; later blocks reuse the bytes.

@@ -1,6 +1,6 @@
 """Tests for the vectorized block-execution fast path.
 
-Three layers: the batch primitives (stacking, batch execution, fallback
+Three layers: the batch primitives (batch execution, fallback
 substitution), the computation manager's backend selection with its
 counted fallback hierarchy, and the end-to-end guarantees — bit-identical
 releases across the full serial/vectorized/remote matrix for the
@@ -31,7 +31,6 @@ from repro.runtime.timing import TimingDefense
 from repro.runtime.vectorized import (
     VectorizedProgram,
     run_batch_blocks,
-    stack_blocks,
     supports_batch,
 )
 
@@ -60,29 +59,13 @@ class TestBatchPrimitives:
         for program in (Mean(), Median(), Variance(), StandardDeviation()):
             assert isinstance(program, VectorizedProgram)
 
-    def test_stack_blocks_uniform(self):
-        stacked = stack_blocks(BLOCKS)
-        assert stacked.shape == (6, 4, 1)
-        assert np.array_equal(stacked[3], BLOCKS[3])
-
-    def test_stack_blocks_ragged_returns_none(self):
-        assert stack_blocks([np.zeros((4, 1)), np.zeros((3, 1))]) is None
-        assert stack_blocks([]) is None
-
     def test_run_batch_blocks_outputs(self):
-        stacked = stack_blocks(BLOCKS)
+        stacked = np.stack(BLOCKS)
         batch = run_batch_blocks(Mean(), stacked, 1, FALLBACK)
         assert batch.num_blocks == 6
         assert batch.outputs.shape == (6, 1)
         assert list(batch.outputs[:, 0]) == [float(i) for i in range(6)]
         assert batch.succeeded.all()
-
-    def test_to_executions_expansion(self):
-        batch = run_batch_blocks(Mean(), stack_blocks(BLOCKS), 1, FALLBACK)
-        executions = batch.to_executions()
-        assert [e.output[0] for e in executions] == [float(i) for i in range(6)]
-        assert all(e.succeeded and not e.killed for e in executions)
-        assert all(e.elapsed == batch.per_block_elapsed for e in executions)
 
     def test_nonfinite_rows_substituted_with_fallback(self):
         class NaNBatch:
@@ -94,7 +77,7 @@ class TestBatchPrimitives:
                 out[2] = np.nan
                 return out
 
-        batch = run_batch_blocks(NaNBatch(), stack_blocks(BLOCKS), 1, FALLBACK)
+        batch = run_batch_blocks(NaNBatch(), np.stack(BLOCKS), 1, FALLBACK)
         assert batch.outputs[2, 0] == 5.0
         assert list(batch.succeeded) == [True, True, False, True, True, True]
         assert np.isfinite(batch.outputs).all()
@@ -107,7 +90,7 @@ class TestBatchPrimitives:
             def run_batch(self, stacked):
                 raise RuntimeError("boom")
 
-        assert run_batch_blocks(Broken(), stack_blocks(BLOCKS), 1, FALLBACK) is None
+        assert run_batch_blocks(Broken(), np.stack(BLOCKS), 1, FALLBACK) is None
 
     def test_wrong_shape_batch_returns_none(self):
         class WrongShape:
@@ -117,7 +100,7 @@ class TestBatchPrimitives:
             def run_batch(self, stacked):
                 return np.zeros((stacked.shape[0] + 1,))
 
-        assert run_batch_blocks(WrongShape(), stack_blocks(BLOCKS), 1, FALLBACK) is None
+        assert run_batch_blocks(WrongShape(), np.stack(BLOCKS), 1, FALLBACK) is None
 
     def test_batch_call_sees_read_only_view(self):
         # The stacked array may be a cache entry shared across queries:
@@ -131,7 +114,7 @@ class TestBatchPrimitives:
                 stacked[...] = 0.0
                 return np.mean(stacked[:, :, 0], axis=1)
 
-        stacked = stack_blocks(BLOCKS)
+        stacked = np.stack(BLOCKS)
         assert run_batch_blocks(Mutator(), stacked, 1, FALLBACK) is None
         assert np.array_equal(stacked, np.stack(BLOCKS))
 
@@ -148,7 +131,7 @@ class TestBatchPrimitives:
                 return np.full(stacked.shape[0], float(self.calls))
 
         program = Stateful()
-        stacked = stack_blocks(BLOCKS)
+        stacked = np.stack(BLOCKS)
         first = run_batch_blocks(program, stacked, 1, FALLBACK)
         second = run_batch_blocks(program, stacked, 1, FALLBACK)
         # Each query ran against a fresh instance: counter stays at 1.
@@ -164,8 +147,8 @@ class TestManagerBackend:
     def test_batch_path_taken_for_batch_programs(self):
         registry = MetricsRegistry()
         manager = ComputationManager(backend="vectorized", metrics=registry)
-        results = manager.run_blocks(Mean(), BLOCKS, 1, FALLBACK)
-        assert [r.output[0] for r in results] == [float(i) for i in range(6)]
+        results = manager.run_blocks_collected(Mean(), 1, FALLBACK, np.stack(BLOCKS))
+        assert results.outputs[:, 0].tolist() == [float(i) for i in range(6)]
         counters = registry.snapshot()["counters"]
         assert counters["vectorized.batches"] == 1
         assert "blocks.executed" in counters
@@ -173,8 +156,8 @@ class TestManagerBackend:
     def test_fallback_no_batch_form(self):
         registry = MetricsRegistry()
         manager = ComputationManager(backend="vectorized", metrics=registry)
-        results = manager.run_blocks(plain_mean, BLOCKS, 1, FALLBACK)
-        assert [r.output[0] for r in results] == [float(i) for i in range(6)]
+        results = manager.run_blocks_collected(plain_mean, 1, FALLBACK, np.stack(BLOCKS))
+        assert results.outputs[:, 0].tolist() == [float(i) for i in range(6)]
         counters = registry.snapshot()["counters"]
         assert counters['vectorized.fallbacks{reason="no_batch_form"}'] == 1
         assert counters.get("vectorized.batches", 0) == 0
@@ -186,8 +169,8 @@ class TestManagerBackend:
             backend="vectorized",
             metrics=registry,
         )
-        results = manager.run_blocks(Mean(), BLOCKS, 1, FALLBACK)
-        assert [r.output[0] for r in results] == [float(i) for i in range(6)]
+        results = manager.run_blocks_collected(Mean(), 1, FALLBACK, np.stack(BLOCKS))
+        assert results.outputs[:, 0].tolist() == [float(i) for i in range(6)]
         counters = registry.snapshot()["counters"]
         assert counters['vectorized.fallbacks{reason="timing_defense"}'] == 1
 
@@ -195,8 +178,8 @@ class TestManagerBackend:
         registry = MetricsRegistry()
         manager = ComputationManager(backend="vectorized", metrics=registry)
         ragged = BLOCKS + [np.full((3, 1), 6.0)]
-        results = manager.run_blocks(Mean(), ragged, 1, FALLBACK)
-        assert [r.output[0] for r in results] == [float(i) for i in range(7)]
+        results = manager.run_blocks_collected(Mean(), 1, FALLBACK, ragged)
+        assert results.outputs[:, 0].tolist() == [float(i) for i in range(7)]
         counters = registry.snapshot()["counters"]
         assert counters['vectorized.fallbacks{reason="ragged_blocks"}'] == 1
 
@@ -210,27 +193,25 @@ class TestManagerBackend:
 
         registry = MetricsRegistry()
         manager = ComputationManager(backend="vectorized", metrics=registry)
-        results = manager.run_blocks(Broken(), BLOCKS, 1, FALLBACK)
+        results = manager.run_blocks_collected(Broken(), 1, FALLBACK, np.stack(BLOCKS))
         # The per-block __call__ path still answers the query.
-        assert [r.output[0] for r in results] == [float(i) for i in range(6)]
+        assert results.outputs[:, 0].tolist() == [float(i) for i in range(6)]
         counters = registry.snapshot()["counters"]
         assert counters['vectorized.fallbacks{reason="batch_error"}'] == 1
 
     def test_collected_matrix_matches_execution_list(self):
         vec = ComputationManager(backend="vectorized", metrics=MetricsRegistry())
         serial = ComputationManager(backend="serial", metrics=MetricsRegistry())
-        collected = vec.run_blocks_collected(Mean(), 1, FALLBACK, blocks=BLOCKS)
-        executions = serial.run_blocks(Mean(), BLOCKS, 1, FALLBACK)
-        assert np.array_equal(
-            collected.outputs, np.vstack([e.output for e in executions])
-        )
+        collected = vec.run_blocks_collected(Mean(), 1, FALLBACK, np.stack(BLOCKS))
+        executions = serial.run_blocks_collected(Mean(), 1, FALLBACK, np.stack(BLOCKS))
+        assert np.array_equal(collected.outputs, executions.outputs)
         assert collected.succeeded.all()
 
     def test_collected_without_blocks_list(self):
         # The fast path needs only the stacked view; no per-block list.
         manager = ComputationManager(backend="vectorized", metrics=MetricsRegistry())
         collected = manager.run_blocks_collected(
-            Mean(), 1, FALLBACK, stacked=stack_blocks(BLOCKS)
+            Mean(), 1, FALLBACK, np.stack(BLOCKS)
         )
         assert list(collected.outputs[:, 0]) == [float(i) for i in range(6)]
 
@@ -238,7 +219,7 @@ class TestManagerBackend:
         registry = MetricsRegistry()
         manager = ComputationManager(backend="vectorized", metrics=registry)
         collected = manager.run_blocks_collected(
-            plain_mean, 1, FALLBACK, blocks=BLOCKS
+            plain_mean, 1, FALLBACK, np.stack(BLOCKS)
         )
         assert list(collected.outputs[:, 0]) == [float(i) for i in range(6)]
         counters = registry.snapshot()["counters"]
@@ -255,13 +236,13 @@ class TestManagerBackend:
 
         registry = MetricsRegistry()
         manager = ComputationManager(backend="vectorized", metrics=registry)
-        stacked = stack_blocks(BLOCKS)
-        results = manager.run_blocks(
-            MutatingBatch(), BLOCKS, 1, FALLBACK, stacked=stacked
+        stacked = np.stack(BLOCKS)
+        results = manager.run_blocks_collected(
+            MutatingBatch(), 1, FALLBACK, stacked
         )
         # The in-place write raised against the read-only view; the
         # per-block path answered and the stacked array is untouched.
-        assert [r.output[0] for r in results] == [float(i) for i in range(6)]
+        assert results.outputs[:, 0].tolist() == [float(i) for i in range(6)]
         assert np.array_equal(stacked, np.stack(BLOCKS))
         counters = registry.snapshot()["counters"]
         assert counters['vectorized.fallbacks{reason="batch_error"}'] == 1
@@ -279,10 +260,10 @@ class TestManagerBackend:
         manager = ComputationManager(
             backend="vectorized", metrics=MetricsRegistry()
         )
-        stacked = stack_blocks(BLOCKS)
+        stacked = np.stack(BLOCKS)
         stacked.flags.writeable = False
         collected = manager.run_blocks_collected(
-            read_then_zero, 1, FALLBACK, stacked=stacked
+            read_then_zero, 1, FALLBACK, stacked
         )
         assert list(collected.outputs[:, 0]) == [float(i) for i in range(6)]
         assert collected.succeeded.all()
@@ -294,7 +275,7 @@ class TestManagerBackend:
         registry = MetricsRegistry()
         manager = ComputationManager(backend="vectorized", metrics=registry)
         with pytest.raises(ComputationError):
-            manager.run_blocks_collected(Mean(), 1, FALLBACK)
+            manager.run_blocks_collected(Mean(), 1, FALLBACK, [])
         counters = registry.snapshot()["counters"]
         assert not any(k.startswith("vectorized.fallbacks") for k in counters)
 
@@ -310,8 +291,8 @@ class TestManagerBackend:
                 return np.mean(stacked[:, :, 0], axis=1)
 
         manager = ComputationManager(backend="vectorized", metrics=MetricsRegistry())
-        stacked = stack_blocks(BLOCKS)
-        manager.run_blocks(CountingBatch(), BLOCKS, 1, FALLBACK, stacked=stacked)
+        stacked = np.stack(BLOCKS)
+        manager.run_blocks_collected(CountingBatch(), 1, FALLBACK, stacked)
         assert CountingBatch.seen == [(6, 4, 1)]
 
 
@@ -335,7 +316,7 @@ class TestEstimatorBatchParity:
     def test_bitwise_parity(self, program):
         rng = np.random.default_rng(99)
         blocks = [rng.uniform(0.0, 1.0, size=(17, 3)) for _ in range(12)]
-        stacked = stack_blocks(blocks)
+        stacked = np.stack(blocks)
         batch = program.run_batch(stacked)
         serial = np.array([program(block) for block in blocks])
         assert np.array_equal(batch, serial)  # bit-identical, not approx

@@ -50,6 +50,10 @@ PROGRAMS = {
 }
 
 
+class _UsageError(Exception):
+    """A flag combination the CLI refuses; :func:`main` exits 2."""
+
+
 def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
     """Options shared by the ``query`` and ``stats`` commands."""
     from repro.runtime.computation_manager import BACKENDS
@@ -91,16 +95,17 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--nodes", default=None, metavar="N|HOST:PORT,...",
-        help="with --backend remote: a comma-separated list of running "
-             "shard-node addresses (start 'repro shard-node' processes "
-             "for multi-process sharding on one box), or an integer to "
-             "spawn that many node threads in this process (default: "
-             "one)",
+        help="with --backend remote (a usage error otherwise): a "
+             "comma-separated list of running shard-node addresses "
+             "(start 'repro shard-node' processes for multi-process "
+             "sharding on one box), or an integer to spawn that many "
+             "node threads in this process (default: one)",
     )
     parser.add_argument(
         "--node-secret", default=None, metavar="SECRET",
-        help="with --backend remote: shared secret for the mutual "
-             "handshake authentication shard nodes may require",
+        help="with --backend remote (a usage error otherwise): shared "
+             "secret for the mutual handshake authentication shard "
+             "nodes may require",
     )
     parser.add_argument(
         "--shards", type=int, default=None, metavar="S",
@@ -257,6 +262,24 @@ def _resolve_nodes(argument):
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _computation_manager(args, metrics: MetricsRegistry | None = None):
+    """``--backend/--shards/--nodes/--node-secret`` as one manager.
+
+    The manager checks its own options; one it refuses (say ``--nodes``
+    without ``--backend remote``) is a usage error.
+    """
+    from repro.runtime.computation_manager import ComputationManager
+
+    try:
+        return ComputationManager(
+            backend=args.backend, shards=args.shards,
+            nodes=_resolve_nodes(args.nodes), node_secret=args.node_secret,
+            metrics=metrics,
+        )
+    except ValueError as exc:
+        raise _UsageError(exc) from None
+
+
 def run_inspect(args) -> int:
     from repro.datasets.loaders import load_csv
 
@@ -277,7 +300,7 @@ def _build_program(args, column_index: int):
     return getattr(statistics, PROGRAMS[args.program])(column=column_index)
 
 
-def _execute_query(args, metrics: MetricsRegistry | None = None):
+def _execute_query(args, computation, metrics: MetricsRegistry | None = None):
     """Shared query path: returns ``(result, manager)`` or raises."""
     from repro.accounting.manager import DatasetManager
     from repro.core.budget_estimation import AccuracyGoal
@@ -295,15 +318,7 @@ def _execute_query(args, metrics: MetricsRegistry | None = None):
         "cli", table, total_budget=args.budget,
         aged_fraction=args.aged_fraction, rng=args.seed,
     )
-    runtime = GuptRuntime(
-        manager,
-        rng=args.seed,
-        metrics=metrics,
-        backend=args.backend,
-        shards=args.shards,
-        nodes=_resolve_nodes(args.nodes),
-        node_secret=args.node_secret,
-    )
+    runtime = GuptRuntime(manager, computation, rng=args.seed, metrics=metrics)
 
     kwargs = {}
     if args.epsilon is not None:
@@ -354,7 +369,8 @@ def run_query(args) -> int:
     if _query_usage_error(args):
         return 2
 
-    result, manager = _execute_query(args)
+    with _computation_manager(args) as computation:
+        result, manager = _execute_query(args, computation)
     print(f"private {args.program}: {result.scalar():.6g}")
     print(f"epsilon spent : {result.epsilon_total:.6g}"
           + (" (derived from accuracy goal)" if result.epsilon_was_estimated else ""))
@@ -371,7 +387,8 @@ def run_stats(args) -> int:
     # A fresh registry per invocation: the snapshot describes exactly
     # this query, not whatever else the process may have run.
     registry = MetricsRegistry()
-    _execute_query(args, metrics=registry)
+    with _computation_manager(args, registry) as computation:
+        _execute_query(args, computation, metrics=registry)
     print(registry.to_json(indent=args.indent))
     return 0
 
@@ -397,12 +414,9 @@ def run_serve_http(args) -> int:
     table = load_csv(args.data)
     registry = MetricsRegistry()
     service = GuptService(
+        _computation_manager(args, registry),
         metrics=registry,
         rng=args.seed,
-        backend=args.backend,
-        shards=args.shards,
-        nodes=_resolve_nodes(args.nodes),
-        node_secret=args.node_secret,
         scheduler_workers=args.scheduler_workers,
         max_inflight=args.max_inflight,
         queue_depth=args.queue_depth,
@@ -465,12 +479,9 @@ def run_serve(args) -> int:
 
     registry = MetricsRegistry()
     service = GuptService(
+        _computation_manager(args, registry),
         metrics=registry,
         rng=args.seed,
-        backend=args.backend,
-        shards=args.shards,
-        nodes=_resolve_nodes(args.nodes),
-        node_secret=args.node_secret,
         scheduler_workers=args.scheduler_workers,
         max_inflight=args.max_inflight,
         queue_depth=args.queue_depth,
@@ -583,6 +594,9 @@ def main(argv: list[str] | None = None) -> int:
     except GuptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

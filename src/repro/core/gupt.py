@@ -64,53 +64,24 @@ class GuptRuntime:
         Registry receiving phase spans and query telemetry; ``None``
         uses the process default.  Every recorded value is release-safe
         (see :mod:`repro.observability`).
-    backend, shards, nodes:
-        Convenience knobs that build the computation manager in place
-        (``backend`` one of ``serial``/``vectorized``/``remote``;
-        ``shards`` the logical shard count of the sharded plan protocol
-        — a public plan parameter released bits depend on, applying to
-        every backend, and under ``backend="remote"`` defaulting to an
-        int ``nodes``, else 1; ``nodes`` the shard-node cluster for
-        ``backend="remote"`` — addresses, a count to spawn locally, or
-        ``None`` for one); mutually exclusive with passing
-        ``computation_manager``.
-    node_secret:
-        Shared secret for the remote backend's mutual handshake
-        authentication; curator-run shard nodes refuse coordinators
-        that cannot prove knowledge of it.  Only meaningful with
-        ``backend="remote"``.
-    plan_cache:
-        A :class:`~repro.core.plan_cache.BlockPlanCache` to memoize
-        drawn block plans across queries, or ``None`` to build one of
-        ``plan_cache_size`` entries.  It holds plans, never rows: each
-        query gathers its own block stack, which no later query sees
-        and which is freed when the query ends.  Cache keys are
-        data-independent by construction (registration
-        identity + public plan geometry + seed), and the runtime wires
-        the dataset manager's invalidation hooks in so re-registered
-        datasets evict their stale entries eagerly.
     plan_cache_size:
-        Entry bound for the runtime-built cache; ``0`` disables caching
-        entirely (plans are still drawn through the same seeded
-        protocol, so released values do not depend on the setting).
-    answer_cache:
-        An :class:`~repro.optimizer.answer_cache.AnswerCache` replaying
-        previously *published* releases for bit-identical repeat
-        queries at zero marginal ε, or ``None``.  Off by default — the
-        cache changes the budget arithmetic of repeated queries (hits
-        are free), so turning it on is the operator's call; released
-        *bits* never depend on the setting (hits replay the exact
-        release a cold run would recompute from the same seed).
+        Entry bound of the :class:`~repro.core.plan_cache.BlockPlanCache`
+        memoizing drawn block plans (never rows) across queries;
+        ``None`` for the default, ``0`` disables it.  Its keys are
+        public (registration identity, plan geometry, seed), so released
+        values do not depend on the setting, and re-registration evicts
+        stale entries through the dataset manager's invalidation hooks.
     answer_cache_size:
-        Entry bound for a runtime-built answer cache; ``None``/``0``
-        leaves answer caching disabled.  Mutually exclusive with
-        ``answer_cache``.
-    state_dir:
-        Convenience knob that builds a *durable* dataset manager in
-        place (``DatasetManager(state_dir=...)``: fsync'd budget journal
-        plus crash recovery); mutually exclusive with passing
-        ``dataset_manager``.  A manager built here is closed by
-        :meth:`close`; a passed-in manager stays the caller's to close.
+        Entry bound of the :class:`~repro.optimizer.answer_cache.AnswerCache`
+        replaying published releases for bit-identical repeat queries at
+        zero marginal ε; ``None``/``0`` (the default) leaves it off.  Hits
+        are free, so this changes the budget arithmetic of repeated
+        queries (the operator's call), never released bits.
+
+    Execution options (backend, shards, nodes, node secret) belong to
+    the :class:`ComputationManager`, which :meth:`close` closes; a
+    durable journal belongs to ``DatasetManager(state_dir=...)``, which
+    stays the caller's to close.
     """
 
     def __init__(
@@ -119,72 +90,36 @@ class GuptRuntime:
         computation_manager: ComputationManager | None = None,
         rng: RandomSource = None,
         metrics: MetricsRegistry | None = None,
-        backend: str | None = None,
-        shards: int | None = None,
-        nodes: int | list | None = None,
-        node_secret: str | None = None,
-        state_dir: str | None = None,
-        plan_cache: BlockPlanCache | None = None,
         plan_cache_size: int | None = None,
-        answer_cache: AnswerCache | None = None,
         answer_cache_size: int | None = None,
     ):
-        if computation_manager is not None and (
-            backend is not None
-            or shards is not None
-            or nodes is not None
-            or node_secret is not None
-        ):
-            raise GuptError(
-                "pass either computation_manager or backend/shards/"
-                "nodes/node_secret, not both"
-            )
-        if computation_manager is None:
-            computation_manager = ComputationManager(
-                backend=backend,
-                shards=shards,
-                nodes=nodes,
-                node_secret=node_secret,
-                metrics=metrics,
-            )
-        if dataset_manager is not None and state_dir is not None:
-            raise GuptError("pass either dataset_manager or state_dir, not both")
-        self._owns_datasets = dataset_manager is None
-        if dataset_manager is None:
-            dataset_manager = DatasetManager(metrics=metrics, state_dir=state_dir)
-        self._datasets = dataset_manager
-        self._computation = computation_manager
+        self._datasets = dataset_manager or DatasetManager(metrics=metrics)
+        self._computation = computation_manager or ComputationManager(
+            metrics=metrics
+        )
         self._rng = as_generator(rng)
         self._rng_lock = threading.Lock()
         self._metrics = metrics
-        if plan_cache is not None and plan_cache_size is not None:
-            raise GuptError("pass either plan_cache or plan_cache_size, not both")
-        if plan_cache is None and plan_cache_size != 0:
-            plan_cache = BlockPlanCache(
+        self._plan_cache: BlockPlanCache | None = None
+        self._plan_cache_unhook: Callable[[], None] | None = None
+        if plan_cache_size != 0:
+            self._plan_cache = BlockPlanCache(
                 max_entries=plan_cache_size or DEFAULT_MAX_ENTRIES,
                 metrics=metrics,
             )
-        self._plan_cache = plan_cache
-        self._plan_cache_unhook: Callable[[], None] | None = None
-        if self._plan_cache is not None:
             self._plan_cache_unhook = self._datasets.add_invalidation_hook(
                 self._plan_cache.invalidate
             )
-        if answer_cache is not None and answer_cache_size is not None:
-            raise GuptError(
-                "pass either answer_cache or answer_cache_size, not both"
-            )
-        if answer_cache is None and answer_cache_size:
-            answer_cache = AnswerCache(
-                max_entries=answer_cache_size, metrics=metrics
-            )
-        self._answer_cache = answer_cache
         # Both derived caches (block plans and published answers) hang
         # off the same invalidation notification: one re-registration
         # must evict both, or a version bump could leave a replayable
         # answer keyed to records that no longer exist.
+        self._answer_cache: AnswerCache | None = None
         self._answer_cache_unhook: Callable[[], None] | None = None
-        if self._answer_cache is not None:
+        if answer_cache_size:
+            self._answer_cache = AnswerCache(
+                max_entries=answer_cache_size, metrics=metrics
+            )
             self._answer_cache_unhook = self._datasets.add_invalidation_hook(
                 self._answer_cache.invalidate
             )
@@ -219,11 +154,11 @@ class GuptRuntime:
     def close(self) -> None:
         """Release execution-backend resources (shard-node sessions).
 
-        A dataset manager the runtime built itself (``state_dir=`` or
-        default) is closed too, flushing its durable journal; a plan
-        cache drops its memoized materializations and unhooks itself
-        from the dataset manager (so a long-lived caller-owned manager
-        does not pin — or keep invoking — the dead cache).  Idempotent:
+        The dataset manager stays open (the runtime only ever builds an
+        in-memory one, which holds nothing to close); a plan cache drops
+        its memoized materializations and unhooks itself from the
+        dataset manager (so a long-lived caller-owned manager does not
+        pin — or keep invoking — the dead cache).  Idempotent:
         teardown paths overlap (context managers, ``GuptService.close``,
         ``atexit`` handlers), and only the first call releases anything.
         """
@@ -245,8 +180,6 @@ class GuptRuntime:
             self._plan_cache.clear()
         if self._answer_cache is not None:
             self._answer_cache.clear()
-        if self._owns_datasets:
-            self._datasets.close()
 
     def __enter__(self) -> "GuptRuntime":
         return self

@@ -122,11 +122,12 @@ class ComputationManager:
         cluster (``repro shard-node`` processes, or
         ``local_node_cluster(K, spawn="process")`` for multi-process
         sharding on one box), an int to spawn that many in-process
-        thread nodes, or ``None`` to spawn one.  Ignored by other
-        backends.
+        thread nodes, or ``None`` to spawn one.  Passing it to another
+        backend raises :class:`ValueError`.
     node_secret:
         For ``backend="remote"``: the shared node-authentication secret
-        handed to an auto-constructed :class:`RemoteShardBackend`.
+        handed to an auto-constructed :class:`RemoteShardBackend`;
+        :class:`ValueError` under any other backend.
     """
 
     def __init__(
@@ -146,8 +147,11 @@ class ComputationManager:
             raise ValueError("shards must be >= 1 (or None for the default)")
         if isinstance(nodes, int) and nodes < 1:
             raise ValueError("nodes must be >= 1 (or None for one node)")
-        if sharded is not None and backend != "remote":
-            raise ValueError(f"sharded= needs backend='remote', not {backend!r}")
+        remote_only = (sharded, nodes, node_secret)
+        if backend != "remote" and any(v is not None for v in remote_only):
+            raise ValueError(
+                f"sharded=/nodes=/node_secret= need backend='remote', not {backend!r}"
+            )
         if sharded is not None and (nodes is not None or node_secret is not None):
             raise ValueError(
                 "pass either sharded= or nodes=/node_secret=, not both "
@@ -174,7 +178,7 @@ class ComputationManager:
             self._plan_shards = shards
             self._sharded = RemoteShardBackend(
                 shards=shards,
-                nodes=nodes if nodes is not None else 1,
+                nodes=nodes,
                 metrics=metrics,
                 secret=node_secret,
             )

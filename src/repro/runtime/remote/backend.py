@@ -341,9 +341,9 @@ class RemoteShardBackend:
     nodes:
         Where the nodes are: a list of ``(host, port)`` tuples or
         ``"host:port"`` strings for an existing cluster, an int to
-        spawn that many in-process nodes, or ``None`` to spawn
-        ``min(shards, 4)``.  Node ``i`` of N initially owns the
-        contiguous logical shards ``[i * S // N, (i + 1) * S // N)``.
+        spawn that many in-process nodes, or ``None`` to spawn one.
+        Node ``i`` of N initially owns the contiguous logical shards
+        ``[i * S // N, (i + 1) * S // N)``.
     node_timeout:
         Mid-query liveness deadline: a node sending nothing for this
         long is declared wedged and its shards re-assigned.
@@ -391,7 +391,7 @@ class RemoteShardBackend:
         self._secret = secret if secret else None
         self._cluster: LocalNodeCluster | None = None
         if nodes is None or isinstance(nodes, int):
-            count = min(self._shards, 4) if nodes is None else int(nodes)
+            count = 1 if nodes is None else int(nodes)
             self._cluster = local_node_cluster(
                 count, spawn=node_spawn, secret=self._secret
             )

@@ -214,7 +214,12 @@ class _SvtSession:
 
 
 class GuptService:
-    """The service provider's facade over the trusted platform."""
+    """The service provider's facade over the trusted platform.
+
+    Execution is one :class:`ComputationManager`, passed in (shard nodes
+    and their secret are set there) or built here from ``backend`` and
+    ``shards``; :meth:`close` closes it either way.
+    """
 
     def __init__(
         self,
@@ -223,46 +228,37 @@ class GuptService:
         metrics: MetricsRegistry | None = None,
         backend: str | None = None,
         shards: int | None = None,
-        nodes: int | list | None = None,
-        node_secret: str | None = None,
         scheduler_workers: int = 4,
         max_inflight: int = 8,
         queue_depth: int = 64,
         query_timeout: float | None = None,
         state_dir: str | None = None,
-        plan_cache_size: int | None = None,
         answer_cache_size: int | None = None,
         max_svt_sessions: int = 64,
     ):
+        if computation_manager is not None and (backend, shards) != (None, None):
+            raise GuptError("pass computation_manager or backend/shards, not both")
+        if max_svt_sessions < 1:
+            raise GuptError("max_svt_sessions must be >= 1")
+        if computation_manager is None:
+            computation_manager = ComputationManager(
+                backend=backend, shards=shards, metrics=metrics
+            )
         self._metrics = metrics
         # With state_dir the accounting layer is durable: every budget
         # event is journaled write-ahead and a journal left by
         # a crashed predecessor is recovered conservatively before any
         # query can run — see repro.accounting.journal.
         self._datasets = DatasetManager(metrics=metrics, state_dir=state_dir)
-        # plan_cache_size bounds the runtime's memoized block plans
-        # (0 disables caching); re-registration invalidates via the
-        # dataset manager's hooks, so owners rotating a dataset name
-        # never leave stale plans behind.
         # answer_cache_size > 0 turns on the noisy-answer cache: repeat
         # seeded queries replay the published release at zero marginal ε
         # (see repro.optimizer.answer_cache); off by default.
         self._runtime = GuptRuntime(
-            self._datasets,
-            computation_manager,
-            rng=rng,
-            metrics=metrics,
-            backend=backend,
-            shards=shards,
-            nodes=nodes,
-            node_secret=node_secret,
-            plan_cache_size=plan_cache_size,
+            self._datasets, computation_manager, rng=rng, metrics=metrics,
             answer_cache_size=answer_cache_size,
         )
         self._principals: dict[str, Principal] = {}
         self._counter = itertools.count()
-        if max_svt_sessions < 1:
-            raise GuptError("max_svt_sessions must be >= 1")
         self._max_svt_sessions = max_svt_sessions
         self._svt_sessions: dict[str, _SvtSession] = {}
         self._svt_lock = threading.Lock()

@@ -127,14 +127,17 @@ def supports_batch(program) -> bool:
 
 
 def _fresh_instance(program):
-    """One fresh program instance per query (state-carryover defense)."""
+    """One fresh program instance per query (state-carryover defense).
+
+    ``None`` when nothing can copy it: the analyst's own object never runs.
+    """
     try:
         return pickle.loads(pickle.dumps(program))
     except Exception:
         try:
             return copy.deepcopy(program)
         except Exception:
-            return program
+            return None
 
 
 def run_batch_blocks(
@@ -145,8 +148,9 @@ def run_batch_blocks(
 ) -> BatchOutputs | None:
     """Execute the batch form; one well-formed outcome per block.
 
-    Returns ``None`` when the batch call cannot be used at all (it
-    raised, or returned something that is not an ``(l, p)`` matrix) —
+    Returns ``None`` when the batch call cannot be used at all (the
+    program cannot be copied to a fresh instance, the call raised, or
+    it returned something that is not an ``(l, p)`` matrix) —
     the caller then falls back to per-block chamber execution, so a
     broken batch form degrades to the slow path rather than refusing
     the query.  Individual malformed *rows* do not abort the batch:
@@ -156,6 +160,8 @@ def run_batch_blocks(
     fallback = np.asarray(fallback, dtype=float).ravel()
     num_blocks = int(stacked.shape[0])
     instance = _fresh_instance(program)
+    if instance is None:
+        return None
     # The program sees a read-only view: a batch form that mutates its
     # input raises here and degrades to the per-block path, which must
     # then read the blocks exactly as gathered.

@@ -33,7 +33,8 @@ from repro.core.range_estimation import TightRange
 from repro.datasets.table import DataTable
 from repro.estimators.statistics import Mean, Median
 from repro.observability import MetricsRegistry
-from repro.optimizer.answer_cache import AnswerCache, build_answer_key
+from repro.optimizer.answer_cache import build_answer_key
+from repro.runtime.computation_manager import ComputationManager
 
 SEED = 424242
 QUERY_SEED = 7
@@ -83,7 +84,10 @@ class TestReplayBitIdentity:
     def test_hit_executes_no_blocks(self):
         registry = MetricsRegistry()
         with GuptRuntime(
-            _manager(), rng=SEED, backend="vectorized", metrics=registry,
+            _manager(),
+            ComputationManager(backend="vectorized", metrics=registry),
+            rng=SEED,
+            metrics=registry,
             answer_cache_size=16,
         ) as runtime:
             first = _run(runtime)
@@ -330,10 +334,10 @@ class TestCacheBypass:
 class TestLruAndMetrics:
     def test_lru_eviction(self):
         registry = MetricsRegistry()
-        cache = AnswerCache(max_entries=2, metrics=registry)
         with GuptRuntime(
-            _manager(), rng=SEED, answer_cache=cache
+            _manager(), rng=SEED, metrics=registry, answer_cache_size=2
         ) as runtime:
+            cache = runtime.answer_cache
             _run(runtime, rng=1)
             _run(runtime, rng=2)
             _run(runtime, rng=1)      # refresh 1 in LRU order
@@ -357,11 +361,3 @@ class TestLruAndMetrics:
         assert counters['optimizer.cache_hits{dataset="data"}'] == 1.0
         assert counters['optimizer.replays{dataset="data"}'] == 1.0
         assert counters['budget.replays{dataset="data"}'] == 1.0
-
-    def test_cache_size_and_instance_are_mutually_exclusive(self):
-        cache = AnswerCache(max_entries=4)
-        with pytest.raises(Exception):
-            GuptRuntime(
-                _manager(), rng=SEED,
-                answer_cache=cache, answer_cache_size=8,
-            )

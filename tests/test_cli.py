@@ -164,6 +164,26 @@ class TestUsage:
             in capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("command", ["query", "stats", "serve", "serve-http"])
+    @pytest.mark.parametrize("flags", [
+        ["--nodes", "2"],
+        ["--backend", "vectorized", "--nodes", "127.0.0.1:1"],
+        ["--backend", "serial", "--node-secret", "s3cret"],
+        ["--shards", "0"],
+    ])
+    def test_execution_flags_the_manager_refuses(
+        self, ages_csv, capsys, command, flags
+    ):
+        """Node flags off ``--backend remote`` are refused, not ignored."""
+        http = ["--http", "127.0.0.1:0", "--http-seconds", "0"]
+        code = main([
+            command.split("-")[0], "--data", str(ages_csv), "--program",
+            "mean", "--range", "0", "150", "--epsilon", "1.0",
+            *(http if command == "serve-http" else []), *flags,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestStats:
     def test_stats_prints_observability_snapshot(self, ages_csv, capsys):

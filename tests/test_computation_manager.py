@@ -65,7 +65,9 @@ def slow_on_two(block):
 
 
 def _manager_for(backend: str) -> ComputationManager:
-    return ComputationManager(backend=backend, nodes=2)
+    return ComputationManager(
+        backend=backend, nodes=2 if backend == "remote" else None
+    )
 
 
 def _fan_out(program, metrics=None):
@@ -186,13 +188,26 @@ class TestBackendSelection:
 
     def test_default_backend_is_serial(self):
         assert ComputationManager().backend == "serial"
-        assert ComputationManager(nodes=4).backend == "serial"
+        with pytest.raises(ValueError):
+            ComputationManager(nodes=4)
         with ComputationManager(backend="remote", nodes=2) as manager:
             assert manager.backend == "remote"
             assert manager.sharded_backend is not None
         for retired in ("pool", "thread", "warp"):
             with pytest.raises(ValueError):
                 ComputationManager(backend=retired)
+
+    @pytest.mark.parametrize("backend", [None, "serial", "vectorized"])
+    @pytest.mark.parametrize("node_kwargs", [
+        {"nodes": 3},
+        {"nodes": ["127.0.0.1:1"]},
+        {"node_secret": "s"},
+        {"nodes": 3, "node_secret": "s"},
+    ])
+    def test_node_options_need_the_remote_backend(self, backend, node_kwargs):
+        """Node options off ``remote`` are refused, not silently ignored."""
+        with pytest.raises(ValueError):
+            ComputationManager(backend=backend, **node_kwargs)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_result_ordering_is_block_order(self, backend):

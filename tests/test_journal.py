@@ -457,8 +457,9 @@ class TestFsyncDiscipline:
         from repro.core.gupt import GuptRuntime
 
         registry = MetricsRegistry()
+        datasets = DatasetManager(metrics=registry, state_dir=state_dir)
         runtime = GuptRuntime(
-            metrics=registry, rng=3, state_dir=state_dir, answer_cache_size=4
+            datasets, metrics=registry, rng=3, answer_cache_size=4
         )
         runtime.dataset_manager.register("census", table(), total_budget=4.0)
         counter = registry.counter("journal.fsyncs")
@@ -479,7 +480,11 @@ class TestFsyncDiscipline:
         assert not charged.cached and added == 1  # the reserve; not the commit
         replayed, added = step(run)
         assert replayed.cached and added == 0
-        _, added = step(runtime.close)
+        def close():
+            runtime.close()
+            datasets.close()
+
+        _, added = step(close)
         assert added == 1  # the pending commit and replay records
         kinds = [r["kind"] for r in scan(journal_path(state_dir)).records]
         assert kinds == [REGISTER, RESERVE, COMMIT, REPLAY]
@@ -747,7 +752,8 @@ class TestJournalReleaseSafety:
             column_names=("v",),
             input_ranges=[(SENTINEL_LO, SENTINEL_HI)],
         )
-        runtime = GuptRuntime(metrics=registry, rng=3, state_dir=state_dir)
+        datasets = DatasetManager(metrics=registry, state_dir=state_dir)
+        runtime = GuptRuntime(datasets, metrics=registry, rng=3)
         runtime.dataset_manager.register(
             "census", sentinel_table, total_budget=4.0
         )
@@ -756,6 +762,7 @@ class TestJournalReleaseSafety:
             epsilon=1.0,
         )
         runtime.close()
+        datasets.close()
         released = float(result.value[0])
         assert SENTINEL_LO <= released <= SENTINEL_HI  # the leak would be real
 

@@ -21,6 +21,7 @@ from repro.core.gupt import GuptRuntime
 from repro.core.range_estimation import TightRange
 from repro.datasets.table import DataTable
 from repro.estimators.statistics import Mean
+from repro.runtime.computation_manager import ComputationManager
 
 SEED = 424242
 QUERY_SEED = 7
@@ -53,9 +54,11 @@ def _runtime(backend, answer_cache_size=None) -> GuptRuntime:
         "data", DataTable(_values(), input_ranges=[(0.0, 100.0)]),
         total_budget=100.0,
     )
+    computation = ComputationManager(
+        backend=backend, nodes=2 if backend == "remote" else None, shards=2
+    )
     return GuptRuntime(
-        manager, rng=SEED, backend=backend, nodes=2, shards=2,
-        answer_cache_size=answer_cache_size,
+        manager, computation, rng=SEED, answer_cache_size=answer_cache_size
     )
 
 

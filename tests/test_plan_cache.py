@@ -21,8 +21,8 @@ from repro.core.plan_cache import BlockPlanCache, PlanKey
 from repro.core.range_estimation import TightRange
 from repro.datasets.table import DataTable
 from repro.estimators.statistics import Mean
-from repro.exceptions import GuptError
 from repro.observability import MetricsRegistry
+from repro.runtime.computation_manager import ComputationManager
 
 
 def make_key(seed=7, dataset="d", version=1, n=100, beta=10, gamma=1):
@@ -205,14 +205,14 @@ class TestKeyPrivacyInvariant:
 
 class TestRuntimeIntegration:
     @staticmethod
-    def _runtime(values, **kwargs):
+    def _runtime(values, *args, **kwargs):
         manager = DatasetManager()
         manager.register(
             "d",
             DataTable(values, column_names=("x",)),
             total_budget=100.0,
         )
-        return GuptRuntime(manager, **kwargs)
+        return GuptRuntime(manager, *args, **kwargs)
 
     @staticmethod
     def _query(runtime, seed):
@@ -310,11 +310,6 @@ class TestRuntimeIntegration:
         assert counters.get("plan_cache.misses", 0) == 0
         assert counters.get("plan_cache.hits", 0) == 0
 
-    def test_conflicting_cache_kwargs_rejected(self):
-        manager = DatasetManager()
-        with pytest.raises(GuptError):
-            GuptRuntime(manager, plan_cache=BlockPlanCache(), plan_cache_size=4)
-
     def test_close_clears_cache(self):
         values = np.random.default_rng(5).uniform(0.0, 10.0, size=(96, 1))
         runtime = self._runtime(values, rng=0)
@@ -339,9 +334,12 @@ class TestRuntimeIntegration:
                 return out
 
         values = np.random.default_rng(5).uniform(1.0, 10.0, size=(96, 1))
-        cached = self._runtime(values, rng=0, backend="vectorized")
+        cached = self._runtime(
+            values, ComputationManager(backend="vectorized"), rng=0
+        )
         uncached = self._runtime(
-            values, rng=0, backend="vectorized", plan_cache_size=0
+            values, ComputationManager(backend="vectorized"), rng=0,
+            plan_cache_size=0,
         )
 
         def query(runtime):
@@ -371,7 +369,9 @@ class TestRuntimeIntegration:
         values = np.random.default_rng(5).uniform(0.0, 10.0, size=(200_000, 5))
         manager = DatasetManager()
         manager.register("d", DataTable(values), total_budget=100.0)
-        runtime = GuptRuntime(manager, rng=0, backend="vectorized")
+        runtime = GuptRuntime(
+            manager, ComputationManager(backend="vectorized"), rng=0
+        )
 
         def query(seed):
             runtime.run(

@@ -8,6 +8,7 @@ from repro.core.range_estimation import TightRange
 from repro.datasets.table import DataTable
 from repro.estimators.statistics import Mean
 from repro.exceptions import GuptError
+from repro.runtime.computation_manager import ComputationManager
 from repro.runtime.service import ANALYST, OWNER, GuptService, QueryRequest
 
 
@@ -32,6 +33,27 @@ def registered(service, owner, rng):
     table = DataTable(ages, column_names=["age"], input_ranges=[(0.0, 150.0)])
     service.register_dataset(owner.token, "census", table, total_budget=5.0)
     return table
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("execution", [{"backend": "serial"}, {"shards": 2}])
+    def test_manager_and_execution_options_are_exclusive(self, execution):
+        """A manager handed in is refused with backend/shards beside it,
+        and stays open for its owner."""
+        manager = ComputationManager(backend="remote", nodes=1)
+        try:
+            with pytest.raises(GuptError):
+                GuptService(computation_manager=manager, **execution)
+            assert not manager.sharded_backend._closed
+            with GuptService(computation_manager=manager) as service:
+                assert service._runtime.computation_manager is manager
+        finally:
+            manager.close()
+
+    def test_backend_and_shards_build_the_manager(self):
+        with GuptService(backend="vectorized", shards=3) as service:
+            manager = service._runtime.computation_manager
+            assert (manager.backend, manager.plan_shards) == ("vectorized", 3)
 
 
 class TestEnrollment:
@@ -72,7 +94,10 @@ class TestOwnerInterface:
         curated = [{"curated": values[:400]}, {"curated": values[400:]}]
         with local_node_cluster(2, curated=curated) as cluster:
             service = GuptService(
-                rng=0, backend="remote", nodes=cluster.addresses, shards=6
+                ComputationManager(
+                    backend="remote", nodes=cluster.addresses, shards=6
+                ),
+                rng=0,
             )
             try:
                 owner = service.enroll(OWNER)

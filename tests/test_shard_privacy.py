@@ -50,7 +50,9 @@ def sentinel_manager(rng):
 
 def _serial_release(manager, declared_range):
     """The same seeded query through the in-process serial backend at S."""
-    runtime = GuptRuntime(manager, rng=7, backend="serial", shards=SHARDS)
+    runtime = GuptRuntime(
+        manager, ComputationManager(backend="serial", shards=SHARDS), rng=7
+    )
     try:
         return runtime.run(
             "census", Mean(), TightRange(declared_range),

@@ -104,15 +104,13 @@ def _release(
         "data", DataTable(_values(num_records), input_ranges=[(0.0, 100.0)]),
         total_budget=100.0,
     )
-    if computation is not None:
-        runtime = GuptRuntime(
-            manager, computation_manager=computation, rng=SEED, metrics=metrics
+    if computation is None:
+        computation = ComputationManager(
+            backend=backend, shards=shards, nodes=nodes, metrics=metrics
         )
-    else:
-        runtime = GuptRuntime(
-            manager, rng=SEED, backend=backend, shards=shards,
-            nodes=nodes, metrics=metrics,
-        )
+    runtime = GuptRuntime(
+        manager, computation_manager=computation, rng=SEED, metrics=metrics
+    )
     try:
         result = runtime.run(
             "data",
@@ -238,7 +236,11 @@ class TestSegmentResidency:
             total_budget=100.0,
         )
         with GuptRuntime(
-            manager, rng=SEED, backend="remote", nodes=2, shards=4,
+            manager,
+            ComputationManager(
+                backend="remote", nodes=2, shards=4, metrics=metrics
+            ),
+            rng=SEED,
             metrics=metrics,
         ) as runtime:
             releases = [
@@ -450,10 +452,11 @@ class TestDegrades:
             metrics = MetricsRegistry()
             manager = DatasetManager()
             manager.register("data", table, total_budget=100.0)
-            runtime = GuptRuntime(
-                manager, rng=SEED, backend=backend, nodes=2, shards=2,
-                metrics=metrics,
+            computation = ComputationManager(
+                backend=backend, nodes=2 if backend == "remote" else None,
+                shards=2, metrics=metrics,
             )
+            runtime = GuptRuntime(manager, computation, rng=SEED, metrics=metrics)
             try:
                 result = runtime.run(
                     "data", Mean(), TightRange((0.0, 100.0)),
@@ -594,6 +597,13 @@ class TestValidation:
                     assert manager.sharded_backend.shards == shards
                     assert manager.sharded_backend.nodes == node_count
 
+    def test_no_nodes_means_one_node_at_any_shard_count(self):
+        """``nodes=None`` spawns one node, on the backend as on the manager."""
+        with RemoteShardBackend(shards=4, heartbeat_interval=None) as backend:
+            assert backend.nodes == 1
+        with ComputationManager(backend="remote", shards=4) as manager:
+            assert manager.sharded_backend.nodes == 1
+
 
 class TestFederatedDeterminism:
     """Curator-held rows: the node split is deployment geometry too.
@@ -627,8 +637,12 @@ class TestFederatedDeterminism:
                 addresses.append("{0}:{1}".format(*server.start()))
                 base += rows
             runtime = GuptRuntime(
-                DatasetManager(), rng=SEED, backend="remote",
-                nodes=addresses, shards=6, node_secret=secret,
+                DatasetManager(),
+                ComputationManager(
+                    backend="remote", nodes=addresses, shards=6,
+                    node_secret=secret,
+                ),
+                rng=SEED,
             )
             try:
                 runtime.register_federated(

@@ -99,7 +99,9 @@ class TestRuntimeTeardown:
     def test_double_close_unhooks_exactly_once(self):
         manager = DatasetManager()
         manager.register("d", _table(), total_budget=10.0)
-        runtime = GuptRuntime(manager, rng=0, backend="remote", shards=2)
+        runtime = GuptRuntime(
+            manager, ComputationManager(backend="remote", shards=2), rng=0
+        )
         runtime.run(
             "d", Mean(), TightRange((0.0, 100.0)), epsilon=0.5,
             block_size=50, rng=1,
@@ -113,14 +115,18 @@ class TestRuntimeTeardown:
     def test_close_without_any_query(self):
         manager = DatasetManager()
         manager.register("d", _table(), total_budget=10.0)
-        runtime = GuptRuntime(manager, rng=0, backend="remote", shards=2)
+        runtime = GuptRuntime(
+            manager, ComputationManager(backend="remote", shards=2), rng=0
+        )
         runtime.close()
         runtime.close()
 
 
 class TestServiceTeardown:
     def _service(self) -> GuptService:
-        service = GuptService(rng=0, backend="remote", shards=2, nodes=2)
+        service = GuptService(
+            ComputationManager(backend="remote", shards=2, nodes=2), rng=0
+        )
         owner = service.enroll(OWNER, "o")
         service.register_dataset(owner.token, "d", _table(), total_budget=10.0)
         return service

@@ -7,6 +7,8 @@ releases across the full serial/vectorized/remote matrix for the
 same seeded request, and release-safe telemetry.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,39 @@ class TestManagerBackend:
         assert results.outputs[:, 0].tolist() == [float(i) for i in range(7)]
         counters = registry.snapshot()["counters"]
         assert counters['vectorized.fallbacks{reason="ragged_blocks"}'] == 1
+
+    def test_uncopyable_batch_program_follows_the_chamber_rule(self):
+        """A program neither pickle nor deepcopy can copy never runs as
+        the analyst's own object: its batch form is a counted
+        ``batch_error`` and the chambers then fail it as on serial."""
+
+        class LockedCounter:
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.calls = 0
+
+            def __call__(self, block):
+                self.calls += 1
+                return float(self.calls)
+
+            def run_batch(self, stacked):
+                self.calls += 1
+                return np.full(stacked.shape[0], float(self.calls))
+
+        program = LockedCounter()
+        errors = {}
+        for backend in ("serial", "vectorized"):
+            registry = MetricsRegistry()
+            manager = ComputationManager(backend=backend, metrics=registry)
+            with pytest.raises(ComputationError) as error:
+                manager.run_blocks_collected(
+                    program, 1, FALLBACK, np.stack(BLOCKS)
+                )
+            errors[backend] = str(error.value)
+        assert errors["vectorized"] == errors["serial"]
+        assert program.calls == 0
+        counters = registry.snapshot()["counters"]
+        assert counters['vectorized.fallbacks{reason="batch_error"}'] == 1
 
     def test_fallback_batch_error(self):
         class Broken:
@@ -413,7 +448,10 @@ class TestVectorizedTelemetryReleaseSafety:
             total_budget=20.0,
         )
         runtime = GuptRuntime(
-            manager, rng=7, metrics=registry, backend="vectorized"
+            manager,
+            ComputationManager(backend="vectorized", metrics=registry),
+            rng=7,
+            metrics=registry,
         )
         result = runtime.run(
             "census",

@@ -375,3 +375,98 @@ def run_svt_attacks(trials: int = 2000) -> list[SvtAttackOutcome]:
         ),
     ]
     return outcomes
+
+
+# ----------------------------------------------------------------------
+# Batch-form battery (one record steering every block, per backend)
+# ----------------------------------------------------------------------
+#: The backends the batch-form battery probes, with their manager options.
+BATCH_FORM_BACKENDS = (
+    ("serial", {}),
+    ("vectorized", {}),
+    ("remote", {"nodes": 2}),
+)
+
+
+@dataclass(frozen=True)
+class BackendAttackOutcome:
+    """One (backend, attack) cell of the per-backend battery."""
+
+    backend: str
+    attack: str
+    claimed_epsilon: float
+    observed_epsilon: float
+    flagged: bool
+    detail: str = ""
+
+
+def batch_form_probe_epsilon(
+    backend: str,
+    options: dict | None = None,
+    claimed_epsilon: float = 0.1,
+    trials: int = 600,
+    seed: int = 29,
+) -> float:
+    """Empirical ε of one GUPT query whose program has a hostile batch form.
+
+    The neighbours are 2,600 records uniform in ``[0, 50]`` with and
+    without one target record outside that range; block size 52 gives
+    50 blocks, and the range ``[0, 100]`` with ε = 0.1 a Laplace scale of
+    20.  The released bit is "above the records' mean": honest per-block
+    means put it there half the time on both neighbours, while a batch
+    form that answers 100 for every block whenever the target is present
+    puts it there almost always on one neighbour only.
+    """
+    from repro.attacks.batch_attack import BatchFormProgram
+    from repro.audit.dp_verifier import empirical_epsilon_discrete
+
+    generator = np.random.default_rng(seed)
+    base = generator.uniform(0.0, 50.0, size=2600)
+    threshold = float(np.mean(base))
+    manager = DatasetManager()
+    for name, values in (("with", np.append(base, TARGET)), ("without", base)):
+        manager.register(name, DataTable(values), total_budget=1e9)
+    program = BatchFormProgram(target=TARGET)
+    computation = ComputationManager(backend=backend, **(options or {}))
+    with GuptRuntime(manager, computation, rng=seed) as runtime:
+
+        def mechanism(flag: np.ndarray) -> bool:
+            result = runtime.run(
+                "with" if flag[0] else "without",
+                program,
+                TightRange((0.0, 100.0)),
+                epsilon=claimed_epsilon,
+                block_size=52,
+            )
+            return result.scalar() > threshold
+
+        observed = empirical_epsilon_discrete(
+            mechanism, np.array([1.0]), np.array([0.0]),
+            trials=trials, smoothing=2.0,
+        )
+    computation.close()
+    return observed
+
+
+def run_batch_form_attacks(trials: int = 600) -> list[BackendAttackOutcome]:
+    """The batch-form probe against every backend.
+
+    Flagged with the SVT battery's rule: an observed ε above
+    :data:`SVT_FLAG_FACTOR` times the claimed ε.
+    """
+    claimed = 0.1
+    outcomes = []
+    for backend, options in BATCH_FORM_BACKENDS:
+        observed = batch_form_probe_epsilon(backend, options, claimed, trials)
+        outcomes.append(
+            BackendAttackOutcome(
+                backend=backend,
+                attack="batch_form",
+                claimed_epsilon=claimed,
+                observed_epsilon=observed,
+                flagged=observed > SVT_FLAG_FACTOR * claimed,
+                detail="run_batch answers 100 for every block once any "
+                "block holds the target",
+            )
+        )
+    return outcomes

@@ -86,10 +86,10 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=list(BACKENDS),
         default=None,
-        help="execution backend (default: serial; vectorized "
-             "= one fused numpy call over the stacked blocks for "
-             "programs declaring a batch form, bit-identical to serial; "
-             "remote = shard nodes with shard-local block plans and a "
+        help="execution backend (default: serial, which runs a "
+             "built-in estimator in one fused call over the stacked "
+             "blocks and any other program block by block; vectorized "
+             "= serial; remote = shard nodes with shard-local block plans and a "
              "partials-only combine, bit-identical to serial for the "
              "same --shards — see --nodes and the shard-node command)",
     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.exceptions import GuptError
-from repro.mechanisms.rng import RandomSource, as_generator, spawn
+from repro.mechanisms.rng import RandomSource, as_generator
 
 #: Exponent of the default number of blocks in Algorithm 1 (l = n**0.4).
 DEFAULT_NUM_BLOCKS_EXPONENT = 0.4
@@ -122,7 +122,7 @@ class BlockPlan:
 
         A single ``np.take`` gather instead of ``l`` separate ones; the
         per-block rows of the result are zero-copy views into it, which
-        is what the vectorized execution backend consumes directly.
+        is what the fused batch path consumes directly.
         ``np.take(values, idx, axis=0)`` yields the same bytes as
         ``values[idx]`` but skips fancy indexing's generic machinery —
         several times faster on the row counts blocks are cut from.
@@ -311,7 +311,11 @@ def shard_plan_rng(plan_seed: int, shards: int, shard: int) -> np.random.Generat
         raise GuptError(f"shard {shard} out of range for {shards} shards")
     if shards == 1:
         return np.random.default_rng(int(plan_seed))
-    return spawn(int(plan_seed), shards)[shard]
+    # Child ``s`` of ``spawn(plan_seed, S)``, built alone: the spawned
+    # children are ``SeedSequence(plan_seed, spawn_key=(i,))``.
+    return np.random.default_rng(
+        np.random.SeedSequence(int(plan_seed), spawn_key=(shard,))
+    )
 
 
 def shard_block_counts(

@@ -211,7 +211,7 @@ class SampleAggregateEngine:
             stacked = plan.stack(values)
         # The per-block list is only materialized when there is no
         # rectangular stacked view (ragged grouped plans), so the
-        # vectorized fast path never creates per-block Python objects.
+        # fused batch path never creates per-block Python objects.
         collected = self._manager.run_blocks_collected(
             program,
             output_dimension,

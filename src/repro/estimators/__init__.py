@@ -24,7 +24,24 @@ from repro.estimators.logistic_regression import (
 from repro.estimators.linreg import LinearRegression
 from repro.estimators.multivariate import Covariance, Histogram
 
+#: The platform-owned programs whose ``run_batch`` the block executor
+#: (:func:`repro.runtime.vectorized.run_blocks`) honours, matched by
+#: exact type: every other program, subclasses of these included, runs
+#: one chamber call per block.
+BATCH_PROGRAMS = (
+    Count,
+    Mean,
+    Median,
+    Quantile,
+    StandardDeviation,
+    Variance,
+    KMeans,
+    LinearRegression,
+    LogisticRegression,
+)
+
 __all__ = [
+    "BATCH_PROGRAMS",
     "Count",
     "Covariance",
     "Histogram",

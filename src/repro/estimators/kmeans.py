@@ -16,9 +16,9 @@ floating-point operations are those of the textbook row-major form
 ``data[assignment == c].mean(axis=0)`` per cluster), in the same order,
 so released centers do not move by a bit:
 
-* *Distances.*  The block is transposed once to ``(d, n)`` and the
-  squared distance to a stack of centers ``(R, k, d)`` is built as
-  ``(R, k, n)``, one column at a time.  The columns are added in the
+* *Distances.*  The blocks are transposed once to ``(d, P, n)`` and the
+  squared distance to a stack of centers ``(P, k, d)`` is built as
+  ``(P, k, n)``, one column at a time.  The columns are added in the
   order ``add.reduce`` adds a contiguous axis (:func:`_reduce_in_order`):
   left to right below 8 terms, 8 interleaved lanes joined by a fixed
   tree up to 128, halved at a multiple of 8 above.  Every term is a
@@ -35,17 +35,24 @@ so released centers do not move by a bit:
   adds the pairwise sum of the rest of a segment to its first element,
   which makes each cluster's sum ``0.0 + pairwise(members)``, numpy's
   own.  An empty cluster keeps its center.
-* *Restarts as a stack.*  Restarts are independent, so running them as
-  one ``(R, k, n)`` stack changes no element's arithmetic.  A restart
-  whose centers moved less than ``tol`` leaves the stack; the others
-  keep iterating.  Each restart's variance comes from the same distance
-  kernel (``min`` over clusters, ``mean`` over rows, which numpy sums
-  pairwise per row as it does for a single row), and the first restart
-  with a strictly lower variance wins.
+* *Blocks and restarts as one stack.*  Restarts are independent, and
+  so are blocks, so running (block, restart) pairs as one ``(P, k, n)``
+  stack changes no element's arithmetic: each pair is measured against
+  its own block's columns, held as ``(d, P, n)``.  A pair whose centers
+  moved less than ``tol`` leaves the stack; the others keep iterating.
+  Each pair's variance comes from the same distance kernel (``min``
+  over clusters, ``mean`` over rows, which numpy sums pairwise per row
+  as it does for a single row), and per block the first restart with a
+  strictly lower variance wins.  :meth:`KMeans.fit` is this kernel on a
+  one-block stack, and :meth:`KMeans.run_batch` on the whole
+  ``(l, n, d)`` block stack; restart start rows depend only on ``n``,
+  so they are drawn once per call, not once per block.
 
 ``tests/test_kmeans.py`` keeps the row-major implementation as the
 reference and checks bit identity over dimensions on both sides of 8,
-ties, empty clusters, signed zeros and infinities.
+ties, empty clusters, signed zeros and infinities;
+``tests/test_batch_estimators.py`` holds ``run_batch`` to the stacked
+per-block calls.
 """
 
 from __future__ import annotations
@@ -54,11 +61,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Restarts run together in chunks of R restarts with R * k * n at most
-# this many elements (1 MiB of float64 per (R, k, n) array).  A round
-# keeps a few such arrays live (up to ~5 when d >= 8), so the bound caps
-# a fit's working memory for any restart count while still stacking
-# every restart of a GUPT block of a few hundred rows.
+# (Block, restart) pairs run together in chunks of P pairs with P * k * n
+# at most this many elements (1 MiB of float64 per (P, k, n) array).  A
+# round keeps a few such arrays live (up to ~5 when d >= 8), so the bound
+# caps the working memory of a fit or a batch for any restart or block
+# count while still stacking every restart of a GUPT block of a few
+# hundred rows.
 STACK_ELEMENTS = 1 << 17
 
 # numpy's pairwise summation: 8 unrolled lanes, blocks of up to 128.
@@ -104,17 +112,17 @@ def _reduce_in_order(term, start: int, count: int):
 
 
 def _squared_distances(columns: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """``(R, k, n)`` squared distances from the ``(d, n)`` block columns
-    to each restart's ``(k, d)`` centers."""
+    """``(P, k, n)`` squared distances from each pair's ``(k, d)`` centers
+    to its block's columns, held as ``(d, P, n)``."""
 
     def term(j: int) -> np.ndarray:
-        return (columns[j] - centers[:, :, j, None]) ** 2
+        return (columns[j][:, None, :] - centers[:, :, j, None]) ** 2
 
     return _reduce_in_order(term, 0, columns.shape[0])
 
 
 def _variances(columns: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Each restart's intra-cluster variance, ``(R,)``."""
+    """Each pair's intra-cluster variance, ``(P,)``."""
     return _squared_distances(columns, centers).min(axis=1).mean(axis=1)
 
 
@@ -151,7 +159,8 @@ def intra_cluster_variance(data: np.ndarray, centers: np.ndarray) -> float:
         raise ValueError(
             f"data of shape {data.shape} does not match centers of shape {centers.shape}"
         )
-    return float(_variances(np.ascontiguousarray(data.T), centers[None])[0])
+    columns = np.ascontiguousarray(data.T)[:, None, :]
+    return float(_variances(columns, centers[None])[0])
 
 
 @dataclass(frozen=True)
@@ -210,18 +219,23 @@ class KMeans:
 
     def initial_centers(self, data: np.ndarray, seed: int | None = None) -> np.ndarray:
         """Seeded initial centers: random rows of the block."""
-        generator = np.random.default_rng(self.seed if seed is None else seed)
-        indices = generator.choice(
-            data.shape[0], size=min(self.num_clusters, data.shape[0]), replace=False
+        rows = self._start_rows(data.shape[0], self.seed if seed is None else seed)
+        return data[rows].astype(float)
+
+    def _start_rows(self, num_rows: int, seed: int) -> np.ndarray:
+        """The ``k`` block rows one restart starts from; a function of the
+        block's length only."""
+        generator = np.random.default_rng(seed)
+        rows = generator.choice(
+            num_rows, size=min(self.num_clusters, num_rows), replace=False
         )
-        centers = data[indices]
-        if centers.shape[0] < self.num_clusters:
+        if rows.size < self.num_clusters:
             # Tiny block: replicate rows so k centers always exist.
-            extra = self.num_clusters - centers.shape[0]
-            centers = np.vstack([centers, centers[:extra % centers.shape[0] + 1][:extra]])
-            while centers.shape[0] < self.num_clusters:
-                centers = np.vstack([centers, centers[: self.num_clusters - centers.shape[0]]])
-        return centers.astype(float)
+            extra = self.num_clusters - rows.size
+            rows = np.concatenate([rows, rows[:extra % rows.size + 1][:extra]])
+            while rows.size < self.num_clusters:
+                rows = np.concatenate([rows, rows[: self.num_clusters - rows.size]])
+        return rows
 
     def fit(self, data: np.ndarray) -> np.ndarray:
         """Run Lloyd's (with restarts); returns (k, d) centers, unsorted."""
@@ -232,41 +246,72 @@ class KMeans:
             raise ValueError(
                 f"expected {self.num_features} features, got {data.shape[1]}"
             )
-        starts = np.stack([
-            self.initial_centers(data, seed=self.seed + restart)
-            for restart in range(self.restarts)
-        ])
-        columns = np.ascontiguousarray(data.T)
-        chunk = max(1, STACK_ELEMENTS // (self.num_clusters * data.shape[0]))
-        best_centers = None
-        best_icv = np.inf
-        for first in range(0, self.restarts, chunk):
-            centers = self._lloyd(columns, starts[first:first + chunk])
-            for candidate, icv in zip(centers, _variances(columns, centers)):
-                if icv < best_icv:
-                    best_icv = icv
-                    best_centers = candidate
-        if best_centers is None:
+        centers, found = self._fit_stack(data[None])
+        if not found[0]:
             raise ValueError(
                 "no restart reached a finite intra-cluster variance; "
                 "the block holds non-finite or overflowing values"
             )
-        return best_centers
+        return centers[0]
+
+    def run_batch(self, stacked: np.ndarray) -> np.ndarray:
+        """``__call__`` on every block of the ``(l, n, d)`` stack: ``(l, k * d)``.
+
+        A block on which ``__call__`` raises (no restart reached a
+        finite variance) gets a row of NaN.
+        """
+        stacked = np.asarray(stacked, dtype=float)
+        if stacked.ndim != 3 or stacked.shape[2] != self.num_features:
+            raise ValueError(
+                f"expected a stack of (l, n, {self.num_features}) blocks, "
+                f"got {stacked.shape}"
+            )
+        centers, found = self._fit_stack(stacked)
+        order = np.argsort(centers[:, :, 0], axis=1, kind="stable")
+        flat = np.take_along_axis(centers, order[:, :, None], axis=1)
+        flat = flat.reshape(stacked.shape[0], self.output_dimension)
+        flat[~found] = np.nan
+        return flat
+
+    def _fit_stack(self, stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Best centers of each block of the ``(l, n, d)`` stack, ``(l, k, d)``,
+        and the mask of blocks where some restart's variance was finite."""
+        num_blocks, num_rows, _ = stacked.shape
+        rows = np.stack([
+            self._start_rows(num_rows, self.seed + restart)
+            for restart in range(self.restarts)
+        ])
+        pairs = num_blocks * self.restarts
+        chunk = max(1, STACK_ELEMENTS // (self.num_clusters * num_rows))
+        best = np.zeros((num_blocks, self.num_clusters, self.num_features))
+        best_icv = np.full(num_blocks, np.inf)
+        for first in range(0, pairs, chunk):
+            pair = np.arange(first, min(first + chunk, pairs))
+            block, restart = np.divmod(pair, self.restarts)
+            columns = np.ascontiguousarray(stacked[block].transpose(2, 0, 1))
+            centers = self._lloyd(columns, stacked[block[:, None], rows[restart]])
+            variances = _variances(columns, centers)
+            # Pairs run block by block, restarts in order within a block:
+            # the first restart with a strictly lower variance wins.
+            for position, index in enumerate(block):
+                if variances[position] < best_icv[index]:
+                    best_icv[index] = variances[position]
+                    best[index] = centers[position]
+        return best, best_icv < np.inf
 
     def _lloyd(self, columns: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        """Lloyd rounds on a ``(R, k, d)`` stack of centers, in place."""
+        """Lloyd rounds on a ``(P, k, d)`` stack of centers, in place; pair
+        ``p`` clusters the block whose columns are ``columns[:, p]``."""
         k = self.num_clusters
-        tiled = np.tile(columns, centers.shape[0])
         active = np.arange(centers.shape[0])
         for _ in range(self.iterations):
             previous = centers[active]
             assignment = _squared_distances(columns, previous).argmin(axis=1)
-            # Label each row by (position in the stack, cluster).  Every
-            # restart clusters the same rows, so the first active.size
-            # copies of the block serve whichever restarts are active.
+            # Label each row by (position in the stack, cluster): the
+            # active pairs' columns, flattened, are the rows.
             labels = (assignment + k * np.arange(active.size)[:, None]).ravel()
             counts, sums = _cluster_sums(
-                tiled[:, :labels.size], labels, active.size * k
+                columns.reshape(columns.shape[0], -1), labels, active.size * k
             )
             updated = previous.reshape(active.size * k, -1).copy()
             occupied = counts > 0
@@ -277,9 +322,12 @@ class KMeans:
             centers[active] = updated
             if self.tol > 0:
                 moved = np.abs(updated - previous).max(axis=(1, 2))
-                active = active[~(moved < self.tol)]
-                if active.size == 0:
-                    break
+                moving = ~(moved < self.tol)
+                if not moving.all():
+                    active = active[moving]
+                    if active.size == 0:
+                        break
+                    columns = columns[:, moving]
         return centers
 
     def __call__(self, block: np.ndarray) -> np.ndarray:

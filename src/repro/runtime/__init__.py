@@ -12,9 +12,9 @@ with two chamber implementations and two data planes:
   fallback) enforced in-process for speed; used by the experiments.
 * :mod:`~repro.runtime.vectorized` — the one block executor
   (``run_blocks``), shared by the computation manager and the shard
-  nodes, and its batch fast path: programs that declare ``run_batch``
-  run over the whole stacked block array in one numpy call,
-  bit-identical to per-block chamber calls.
+  nodes, and its batch fast path: the built-in estimators' ``run_batch``
+  runs over the whole stacked block array in one call, bit-identical
+  to per-block chamber calls; no other program's batch form is used.
 * :mod:`~repro.runtime.remote` — the shard coordinator, the one
   multi-process data plane: logical shards execute on shard nodes
   (threads, ``repro shard-node`` processes on this box, or other hosts).

@@ -9,22 +9,19 @@ the GUPT runtime calls; each block execution goes through a
 :class:`~repro.runtime.sandbox.ExecutionChamber` or a shard node, which
 plays the client role.
 
-Three execution backends trade isolation strength against dispatch cost:
+Two data planes run the blocks:
 
 ``serial``
-    One chamber call per block on the calling thread.  Zero dispatch
-    overhead; keeps single-threaded benchmarks honest.
-``vectorized``
-    The fast path of :mod:`repro.runtime.vectorized`: a program that
-    declares a batch form (``run_batch``) runs over the whole stacked
-    block array in one numpy call — zero per-block dispatch.  The
-    backend only sets ``batch=True`` on
+    Blocks run on the calling thread through
     :func:`~repro.runtime.vectorized.run_blocks`, the block executor
-    every in-process path and every shard node shares.  Programs
-    without a batch form, ragged block lists, batch calls that raise,
-    and queries under an active timing defense all degrade transparently
-    to the serial chamber path, counted per reason in
-    ``vectorized.fallbacks``.
+    every in-process path and every shard node shares.  A built-in
+    estimator runs over the whole stacked block array in one fused
+    batch call; every other program — and every query under an active
+    timing defense, or over a ragged block list — runs one chamber call
+    per block, counted per reason in ``vectorized.fallbacks``.
+``vectorized``
+    The same as ``serial``.  The name stays accepted while callers
+    still pass it.
 ``remote``
     :class:`~repro.runtime.remote.RemoteShardBackend` — the one shard
     coordinator and the one multi-process data plane.  The dataset is
@@ -45,8 +42,8 @@ Three execution backends trade isolation strength against dispatch cost:
 
 Hang-safe, crash-safe per-block isolation is a chamber's job: pass a
 :class:`~repro.runtime.sandbox.SubprocessChamber`.  The chamber's
-``timing`` is the one source of the §6 timing defense, and the
-vectorized and remote fast paths degrade whenever it is active.
+``timing`` is the one source of the §6 timing defense, and the fused
+batch path and the remote fast path degrade whenever it is active.
 
 The manager is also an instrumentation point (see
 :mod:`repro.observability`): per-block latency, success/fallback/kill
@@ -89,10 +86,11 @@ class ComputationManager:
     ----------
     chamber:
         The isolation boundary of every in-process block call: the
-        ``serial`` backend and the ``vectorized`` and ``remote`` degrade
-        paths.  Defaults to an unbudgeted :class:`InProcessChamber`.
-        Its ``timing`` is the manager's only timing-defense setting.
-        Chambers always run on the calling thread.
+        per-block path of ``serial`` and ``vectorized`` and the
+        ``remote`` degrade path.  Defaults to an unbudgeted
+        :class:`InProcessChamber`.  Its ``timing`` is the manager's only
+        timing-defense setting.  Chambers always run on the calling
+        thread.
     metrics:
         Registry receiving block-level telemetry; ``None`` uses the
         process default.
@@ -102,11 +100,11 @@ class ComputationManager:
         Logical shard count ``S`` of the sharded plan protocol — a
         *public plan parameter* that applies to **every** backend: a
         manager with ``shards=4`` draws 4-sharded combined plans whether
-        it executes them serially, through the vectorized path, or on
-        shard nodes.  That is what makes the determinism matrix
-        possible — fix ``shards`` and vary the backend, and the released
-        bits do not move.  Defaults to ``1`` (the legacy single-plan
-        protocol, bit-compatible with earlier releases) except under
+        it executes them in-process or on shard nodes.  That is what
+        makes the determinism matrix possible — fix ``shards`` and vary
+        the backend, and the released bits do not move.  Defaults to
+        ``1`` (the legacy single-plan protocol, bit-compatible with
+        earlier releases) except under
         ``backend="remote"`` with an int ``nodes``, where it defaults to
         one logical shard per node.
     sharded:
@@ -255,8 +253,8 @@ class ComputationManager:
         :meth:`BlockPlan.stack`), or the block list of a ragged grouped
         plan.  The blocks run through
         :func:`~repro.runtime.vectorized.run_blocks` on the calling
-        thread; the ``vectorized`` backend asks it to try the fused
-        batch form first and counts why it could not.
+        thread, which takes the fused batch form of a built-in
+        estimator; every other run is counted by why it went per block.
 
         Raises :class:`ComputationError` only when *every* block failed,
         which signals a systemic problem (wrong output dimension, program
@@ -272,15 +270,13 @@ class ComputationManager:
             raise ComputationError("no blocks to execute")
         metrics = self._metrics or get_registry()
         metrics.gauge("blocks.pool_width").set(1)
-        vectorized = self._backend == "vectorized"
         started = time.perf_counter()
         batch, reason = run_blocks(
-            self._chamber, program, blocks, output_dimension, fallback,
-            batch=vectorized,
+            self._chamber, program, blocks, output_dimension, fallback
         )
         if reason is not None:
             metrics.counter("vectorized.fallbacks", reason=reason).inc()
-        elif vectorized:
+        else:
             metrics.counter("vectorized.batches").inc()
             metrics.histogram("vectorized.batch_seconds").observe(
                 time.perf_counter() - started

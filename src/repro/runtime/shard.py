@@ -17,9 +17,9 @@ nodes (:mod:`repro.runtime.remote.node`) on this box or others.
   protocol of :func:`repro.core.blocks.draw_sharded_plan`), gathers its
   stacked materialization in one pass, and runs the program through
   :func:`repro.runtime.vectorized.run_blocks`, the block executor the
-  coordinator uses too — vectorized ``run_batch`` when the program
-  declares one, a plain :class:`~repro.runtime.sandbox.InProcessChamber`
-  per block otherwise.  Nothing is memoized: every query
+  coordinator uses too — the fused ``run_batch`` of a built-in
+  estimator, a plain :class:`~repro.runtime.sandbox.InProcessChamber`
+  per block for every other program.  Nothing is memoized: every query
   carries a fresh 63-bit ``plan_seed`` (and the coordinator's answer
   cache serves same-seed repeats before they ship), so a shard-local
   plan cache could never hit and would only pin gathered rows of past
@@ -126,8 +126,7 @@ def execute_shard_rows(
     except Exception:  # noqa: BLE001 - hostile or broken program
         program = _unloadable
     batch, _ = run_blocks(
-        InProcessChamber(), program, stacked, spec.output_dimension, fallback,
-        batch=True,
+        InProcessChamber(), program, stacked, spec.output_dimension, fallback
     )
     outputs = batch.outputs
     if spec.clamp_lo is not None:

@@ -2,39 +2,50 @@
 
 Sample-and-aggregate normally pays one chamber dispatch per block: for
 the trivially vectorizable programs of the paper's Table 1 workloads
-(mean, sum, count, variance) that dispatch cost — pickle round-trips,
-per-block bookkeeping, ``l`` separate numpy reductions — dwarfs the
-arithmetic.  An analyst program may therefore *declare a batch form*:
+(mean, sum, count, variance), and for regression and k-means over many
+small blocks, that dispatch cost — pickle round-trips, per-block
+bookkeeping, ``l`` separate numpy passes — dwarfs the arithmetic.  A
+program may therefore have a *batch form*:
 
 * ``program(block)`` — the black-box per-block contract, unchanged;
 * ``program.run_batch(stacked)`` — the same computation over all blocks
   at once, taking the ``(l, block_size, d)`` stacked block array and
-  returning the full ``(l, p)`` output matrix in one numpy call.
+  returning the full ``(l, p)`` output matrix.
+
+**A platform-only privilege.**  A batch form sees every block in one
+call, so it can make one block's output depend on another block's
+records — exactly what sample-and-aggregate's privacy argument rules
+out.  Nothing can check that an arbitrary ``run_batch`` is the
+vectorization of its ``__call__``, so :func:`run_blocks` honours it
+only when the program's exact type (no subclass) is one of the
+built-in estimators in :data:`repro.estimators.BATCH_PROGRAMS`, and it
+calls the method through the type, so an instance attribute cannot
+stand in for it.  Every other program runs one chamber call per block,
+counted as the ``untrusted_program`` reason of ``vectorized.fallbacks``.
+The ``serial`` and ``vectorized`` backends therefore run blocks the
+same way.
 
 **Equivalence argument.**  The fast path changes only *who iterates*:
-``run_batch`` must be the vectorization of ``__call__`` (numpy's
-reductions over one axis of a stacked array visit each block's values
-in the same order as the per-block call, so for the built-in estimators
-the outputs are bit-identical), the stacked array rows are exactly the
-blocks the plan materializes, and every per-block semantic is preserved
-downstream: a row that is malformed or non-finite is substituted with
-the constant in-range fallback (``succeeded=False``) exactly as a
-failed chamber execution would be, and a batch call that raises falls
-back to the chamber path wholesale.  Noise draws never happen here, so
-a seeded query releases the same bits through ``vectorized`` as through
-``serial``/``remote``.
+each built-in ``run_batch`` returns the stacked ``__call__`` outputs
+bit for bit (the equivalence tests pin this down), the stacked array
+rows are exactly the blocks the plan materializes, and every per-block
+semantic is preserved downstream: a row that is malformed or
+non-finite — a built-in batch form writes NaN where ``__call__`` would
+raise — is substituted with the constant in-range fallback
+(``succeeded=False``) exactly as a failed chamber execution would be,
+and a batch call that raises falls back to the chamber path wholesale.
+Noise draws never happen here, so a seeded query releases the same
+bits through every backend.
 
-**What the fast path does not do.**  It runs the declared batch form
-in-process without a chamber, so it must not weaken any chamber
-defense it cannot reproduce:
+**What the fast path does not do.**  It runs the batch form in-process
+without a chamber, so it must not weaken any chamber defense it cannot
+reproduce:
 
-* *state attack* — ``run_batch`` sees all blocks in one call anyway, so
-  per-block instance freshness is vacuous; the program instance is
-  still pickle-round-tripped once per query so no state survives
-  *across* queries, and the batch call only ever receives a *read-only*
-  view of the stacked blocks.  No stack outlives its query (the plan
-  cache keeps plans, never rows), so the view guards the per-block
-  fallback that may follow a failed batch call within the same query.
+* *state attack* — the program instance is still pickle-round-tripped
+  once per query so no state survives *across* queries, and the batch
+  call only ever receives a *read-only* view of the stacked blocks, so
+  the per-block fallback that may follow a failed batch call within
+  the same query reads the blocks exactly as gathered.
 * *timing attack* — per-block kill-and-pad semantics cannot be applied
   to a single fused call, so whenever a cycle budget is configured the
   executor transparently degrades to the chamber path (counted in
@@ -52,6 +63,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import sys
 import time
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
@@ -118,12 +130,39 @@ def supports_batch(program) -> bool:
     """Whether ``program`` declares a usable batch form.
 
     A lookup that raises (a hostile ``run_batch`` property, say) means
-    no: the program is then run per block, under the chamber rule.
+    no.  Declaring one is not enough for :func:`run_blocks` to use it:
+    see :func:`platform_owned`.
     """
     try:
         return callable(getattr(program, "run_batch", None))
     except Exception:  # noqa: BLE001 - any failure is "no batch form"
         return False
+
+
+def platform_owned(program) -> bool:
+    """Whether :func:`run_blocks` may honour ``program``'s batch form.
+
+    True only when the exact type of ``program`` is one of
+    :data:`repro.estimators.BATCH_PROGRAMS`, compared by identity, and
+    its instance state is plain numbers, as every built-in estimator's
+    is.  Any other state could run analyst code inside the fused call:
+    a field holding an object whose comparison methods see the records,
+    or an instance attribute that shadows pickling and so swaps the
+    fresh instance for another type.  The tuple is read from
+    ``sys.modules``: until the estimators package is imported no
+    instance of its classes can exist, and the check itself imports
+    nothing, so a shard node's start stays lean.
+    """
+    estimators = sys.modules.get("repro.estimators")
+    kind = type(program)
+    if estimators is None or not any(
+        kind is owned for owned in getattr(estimators, "BATCH_PROGRAMS", ())
+    ):
+        return False
+    return all(
+        any(type(value) is plain for plain in (bool, int, float))
+        for value in vars(program).values()
+    )
 
 
 def _fresh_instance(program):
@@ -169,7 +208,9 @@ def run_batch_blocks(
     readonly.flags.writeable = False
     started = time.perf_counter()
     try:
-        raw = instance.run_batch(readonly)
+        # Looked up on the type: an instance attribute never stands in
+        # for the method.
+        raw = type(instance).run_batch(instance, readonly)
     except Exception:
         return None
     elapsed = time.perf_counter() - started
@@ -199,36 +240,34 @@ def run_blocks(
     blocks: np.ndarray | Sequence[np.ndarray],
     output_dimension: int,
     fallback: np.ndarray,
-    batch: bool = False,
 ) -> tuple[BatchOutputs, str | None]:
     """Run ``program`` on every block; the one block executor.
 
     ``blocks`` is the ``(l, block_size, d)`` stack, or the list of
-    blocks of a ragged (grouped) plan.  With ``batch`` the fused
-    ``run_batch`` call is tried first — this is the only place a batch
-    form is ever honoured — and the second value names why it was not
-    used (``no_batch_form``, ``timing_defense``, ``ragged_blocks`` or
-    ``batch_error``; ``None`` when it was, or was not asked for).
-    Otherwise every block goes through ``chamber`` on the calling
-    thread, under the chamber rule: fresh instance, fallback
+    blocks of a ragged (grouped) plan.  The fused ``run_batch`` call is
+    taken only for a :func:`platform_owned` program, with no timing
+    defense active, over a rectangular stack — this is the only place a
+    batch form is ever honoured.  The second value is ``None`` when the
+    fused call answered, and otherwise names why every block went
+    through ``chamber`` instead (``untrusted_program``,
+    ``timing_defense``, ``ragged_blocks`` or ``batch_error``): on the
+    calling thread, under the chamber rule — fresh instance, fallback
     substitution, cycle budget.
     """
-    reason = None
-    if batch:
-        if not supports_batch(program):
-            reason = "no_batch_form"
-        elif timing_active(chamber):
-            # Per-block kill-and-pad semantics cannot apply to one fused
-            # call; an active cycle budget forces the chamber path so
-            # the timing defense is never silently lost.
-            reason = "timing_defense"
-        elif not isinstance(blocks, np.ndarray):
-            reason = "ragged_blocks"
-        else:
-            fused = run_batch_blocks(program, blocks, output_dimension, fallback)
-            if fused is not None:
-                return fused, None
-            reason = "batch_error"
+    if not platform_owned(program):
+        reason = "untrusted_program"
+    elif timing_active(chamber):
+        # Per-block kill-and-pad semantics cannot apply to one fused
+        # call; an active cycle budget forces the chamber path so the
+        # timing defense is never silently lost.
+        reason = "timing_defense"
+    elif not isinstance(blocks, np.ndarray):
+        reason = "ragged_blocks"
+    else:
+        fused = run_batch_blocks(program, blocks, output_dimension, fallback)
+        if fused is not None:
+            return fused, None
+        reason = "batch_error"
 
     # Chambers run programs that may legitimately mutate their block in
     # place; a caller's read-only stack hands each one a copy, so

@@ -7,9 +7,14 @@ from repro.attacks.budget_attack import (
     budget_attack_against_gupt,
     budget_attack_against_pinq,
 )
+from repro.attacks.batch_attack import BatchFormProgram
 from repro.attacks.harness import (
+    BATCH_FORM_BACKENDS,
+    SVT_FLAG_FACTOR,
+    batch_form_probe_epsilon,
     budget_attack_outcomes,
     run_all_attacks,
+    run_batch_form_attacks,
     state_attack_on_airavat,
     state_attack_on_gupt,
     state_attack_on_pinq,
@@ -114,3 +119,30 @@ class TestFullMatrix:
         }
         measured = {(o.system, o.attack): o.leaked for o in outcomes}
         assert measured == expected_leaks
+
+
+class TestBatchFormBattery:
+    """A hostile ``run_batch`` moves no backend's release (ROADMAP dir. 1)."""
+
+    def test_every_backend_stays_within_the_claimed_epsilon(self):
+        outcomes = run_batch_form_attacks(trials=400)
+        assert [o.backend for o in outcomes] == [b for b, _ in BATCH_FORM_BACKENDS]
+        for outcome in outcomes:
+            assert outcome.attack == "batch_form"
+            assert not outcome.flagged, outcome
+            assert outcome.observed_epsilon <= SVT_FLAG_FACTOR * outcome.claimed_epsilon
+
+    def test_the_probe_flags_an_executor_that_honours_it(self, monkeypatch):
+        # The battery has teeth: let the executor trust every batch form
+        # and the same probe reads many times the claimed epsilon.
+        monkeypatch.setattr(
+            "repro.runtime.vectorized.platform_owned", lambda program: True
+        )
+        observed = batch_form_probe_epsilon("serial", trials=200)
+        assert observed > 10 * SVT_FLAG_FACTOR * 0.1
+
+    def test_hostile_program_is_honest_per_block(self):
+        program = BatchFormProgram(target=77.25)
+        stacked = np.stack([np.full((4, 1), 2.0), np.full((4, 1), 77.25)])
+        assert [program(block) for block in stacked] == [2.0, 77.25]
+        assert program.run_batch(stacked).tolist() == [100.0, 100.0]

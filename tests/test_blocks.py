@@ -5,8 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.blocks import BlockPlan, default_block_size
+from repro.core.blocks import BlockPlan, default_block_size, shard_plan_rng
 from repro.exceptions import GuptError
+from repro.mechanisms.rng import spawn
 
 
 class TestDefaultBlockSize:
@@ -200,3 +201,26 @@ class TestIndexMatrix:
         for idx, block in zip(blocks, plan.materialize(values)):
             assert block.tobytes() == values[idx].tobytes()
             assert block.shape == values[idx].shape
+
+
+class TestShardPlanRng:
+    """One shard's generator is built alone, yet is the spawned child."""
+
+    @pytest.mark.parametrize("shards", [2, 4, 7])
+    @pytest.mark.parametrize("plan_seed", [0, 1, 9_876_543, 2**63 - 1])
+    def test_stream_equals_the_spawned_child(self, plan_seed, shards):
+        children = spawn(plan_seed, shards)
+        for shard in range(shards):
+            expected = children[shard].integers(0, 2**63, size=16)
+            actual = shard_plan_rng(plan_seed, shards, shard).integers(0, 2**63, size=16)
+            assert np.array_equal(actual, expected)
+
+    def test_single_shard_is_the_unspawned_generator(self):
+        expected = np.random.default_rng(42).integers(0, 2**63, size=16)
+        actual = shard_plan_rng(42, 1, 0).integers(0, 2**63, size=16)
+        assert np.array_equal(actual, expected)
+
+    @pytest.mark.parametrize("shard", [-1, 4])
+    def test_shard_out_of_range(self, shard):
+        with pytest.raises(GuptError):
+            shard_plan_rng(1, 4, shard)

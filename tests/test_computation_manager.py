@@ -296,7 +296,7 @@ class TestPoolWidth:
         ran = {
             "vectorized": ("vectorized.batches", {}),
             "vectorized-degrade": (
-                "vectorized.fallbacks", {"reason": "no_batch_form"}
+                "vectorized.fallbacks", {"reason": "untrusted_program"}
             ),
             "remote": ("remote.queries", {}),
         }

@@ -13,6 +13,7 @@ registry in isolation:
 """
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -339,10 +340,19 @@ class TestHttpTelemetry:
     derives from record values, released values or raw URLs.
     """
 
-    def test_http_metrics_present_and_release_safe(self, registry, rng):
+    def test_http_metrics_present_and_release_safe(self, registry, rng, monkeypatch):
         from repro.server.client import Backpressure, GuptClient
         from repro.server.http import GuptHttpServer
 
+        # Every query runs at least 200 ms, so the second submit below
+        # deterministically finds the first still in flight.
+        run_request = GuptService._run_request
+
+        def slow_run_request(self, *args, **kwargs):
+            time.sleep(0.2)
+            return run_request(self, *args, **kwargs)
+
+        monkeypatch.setattr(GuptService, "_run_request", slow_run_request)
         service = GuptService(
             rng=3, metrics=registry, scheduler_workers=1, max_inflight=1,
         )
@@ -351,9 +361,7 @@ class TestHttpTelemetry:
         client = GuptClient(host, port)
         try:
             client.token = client.enroll("owner", "o", "tel-admin")
-            # Big enough that the slow query below runs for milliseconds
-            # (so the second submit deterministically hits max_inflight)
-            # but with block counts well under the sentinel threshold.
+            # Block counts stay well under the sentinel threshold.
             values = rng.uniform(SENTINEL_LO + 50.0, SENTINEL_HI - 50.0, size=20_000)
             client.register_dataset(
                 "census", values.tolist(), total_budget=20.0,

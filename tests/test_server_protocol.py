@@ -328,7 +328,8 @@ class TestRefusalConformance:
 
 
 class TestBackpressureConformance:
-    def test_queue_full_is_429_with_retry_after(self):
+    def test_queue_full_is_429_with_retry_after(self, monkeypatch):
+        slow_queries(monkeypatch, 0.2)
         with server_stack(
             num_records=100_000, budget=1e9,
             scheduler_workers=1, max_inflight=64, queue_depth=1,
@@ -346,7 +347,8 @@ class TestBackpressureConformance:
             assert caught.value.code == "queue_full"
             assert caught.value.retry_after > 0
 
-    def test_max_inflight_is_429(self):
+    def test_max_inflight_is_429(self, monkeypatch):
+        slow_queries(monkeypatch, 0.2)
         with server_stack(
             num_records=100_000, budget=1e9,
             scheduler_workers=1, max_inflight=2, queue_depth=64,
@@ -359,14 +361,15 @@ class TestBackpressureConformance:
             assert caught.value.status == 429
             assert caught.value.code == "max_inflight"
 
-    def test_timeout_is_504(self):
+    def test_timeout_is_504(self, monkeypatch):
+        slow_queries(monkeypatch, 0.2)
         with server_stack(
             num_records=100_000, budget=1e9,
             scheduler_workers=1, query_timeout=0.02,
         ) as (server, owner, analyst):
             slow = query_body(epsilon=0.01, block_size=25)
             analyst.submit(slow)
-            queued = analyst.submit(slow)  # stuck behind ~80ms of work
+            queued = analyst.submit(slow)  # stuck behind >= 200ms of work
             status, _, payload = analyst.raw_request(
                 "GET", f"/v1/queries/{queued}?timeout=10"
             )
@@ -375,7 +378,8 @@ class TestBackpressureConformance:
 
 
 class TestCancelConformance:
-    def test_cancel_queued_query(self):
+    def test_cancel_queued_query(self, monkeypatch):
+        slow_queries(monkeypatch, 0.2)
         with server_stack(
             num_records=100_000, budget=1e9, scheduler_workers=1,
         ) as (server, owner, analyst):
@@ -420,7 +424,8 @@ class TestPendingSemantics:
             # result() after the terminal response keeps returning it.
             assert analyst.result(query_id) == final
 
-    def test_client_result_timeout_returns_none(self):
+    def test_client_result_timeout_returns_none(self, monkeypatch):
+        slow_queries(monkeypatch, 0.2)
         with server_stack(
             num_records=100_000, budget=1e9, scheduler_workers=1,
         ) as (server, owner, analyst):

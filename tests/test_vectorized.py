@@ -161,7 +161,7 @@ class TestManagerBackend:
         results = manager.run_blocks_collected(plain_mean, 1, FALLBACK, np.stack(BLOCKS))
         assert results.outputs[:, 0].tolist() == [float(i) for i in range(6)]
         counters = registry.snapshot()["counters"]
-        assert counters['vectorized.fallbacks{reason="no_batch_form"}'] == 1
+        assert counters['vectorized.fallbacks{reason="untrusted_program"}'] == 1
         assert counters.get("vectorized.batches", 0) == 0
 
     def test_fallback_timing_defense(self):
@@ -187,8 +187,8 @@ class TestManagerBackend:
 
     def test_uncopyable_batch_program_follows_the_chamber_rule(self):
         """A program neither pickle nor deepcopy can copy never runs as
-        the analyst's own object: its batch form is a counted
-        ``batch_error`` and the chambers then fail it as on serial."""
+        the analyst's own object: its batch form is never called, and
+        the chambers fail it as on serial."""
 
         class LockedCounter:
             def __init__(self):
@@ -216,9 +216,9 @@ class TestManagerBackend:
         assert errors["vectorized"] == errors["serial"]
         assert program.calls == 0
         counters = registry.snapshot()["counters"]
-        assert counters['vectorized.fallbacks{reason="batch_error"}'] == 1
+        assert counters['vectorized.fallbacks{reason="untrusted_program"}'] == 1
 
-    def test_fallback_batch_error(self):
+    def test_fallback_batch_error(self, monkeypatch):
         class Broken:
             def __call__(self, block):
                 return float(np.mean(block))
@@ -226,12 +226,21 @@ class TestManagerBackend:
             def run_batch(self, stacked):
                 raise RuntimeError("boom")
 
+        def boom(self, stacked):
+            raise RuntimeError("boom")
+
         registry = MetricsRegistry()
         manager = ComputationManager(backend="vectorized", metrics=registry)
         results = manager.run_blocks_collected(Broken(), 1, FALLBACK, np.stack(BLOCKS))
-        # The per-block __call__ path still answers the query.
+        # An analyst's batch form is never called: per block answers.
+        assert results.outputs[:, 0].tolist() == [float(i) for i in range(6)]
+        # A built-in batch form that raises degrades to the per-block
+        # __call__ path, which still answers the query.
+        monkeypatch.setattr(Mean, "run_batch", boom)
+        results = manager.run_blocks_collected(Mean(), 1, FALLBACK, np.stack(BLOCKS))
         assert results.outputs[:, 0].tolist() == [float(i) for i in range(6)]
         counters = registry.snapshot()["counters"]
+        assert counters['vectorized.fallbacks{reason="untrusted_program"}'] == 1
         assert counters['vectorized.fallbacks{reason="batch_error"}'] == 1
 
     def test_collected_matrix_matches_execution_list(self):
@@ -258,23 +267,18 @@ class TestManagerBackend:
         )
         assert list(collected.outputs[:, 0]) == [float(i) for i in range(6)]
         counters = registry.snapshot()["counters"]
-        assert counters['vectorized.fallbacks{reason="no_batch_form"}'] == 1
+        assert counters['vectorized.fallbacks{reason="untrusted_program"}'] == 1
 
-    def test_mutating_batch_degrades_to_chambers(self):
-        class MutatingBatch:
-            def __call__(self, block):
-                return float(np.mean(block))
+    def test_mutating_batch_degrades_to_chambers(self, monkeypatch):
+        def mutating_batch(self, stacked):
+            stacked *= 0.0
+            return np.mean(stacked[:, :, 0], axis=1)
 
-            def run_batch(self, stacked):
-                stacked *= 0.0
-                return np.mean(stacked[:, :, 0], axis=1)
-
+        monkeypatch.setattr(Mean, "run_batch", mutating_batch)
         registry = MetricsRegistry()
         manager = ComputationManager(backend="vectorized", metrics=registry)
         stacked = np.stack(BLOCKS)
-        results = manager.run_blocks_collected(
-            MutatingBatch(), 1, FALLBACK, stacked
-        )
+        results = manager.run_blocks_collected(Mean(), 1, FALLBACK, stacked)
         # The in-place write raised against the read-only view; the
         # per-block path answered and the stacked array is untouched.
         assert results.outputs[:, 0].tolist() == [float(i) for i in range(6)]
@@ -314,21 +318,80 @@ class TestManagerBackend:
         counters = registry.snapshot()["counters"]
         assert not any(k.startswith("vectorized.fallbacks") for k in counters)
 
-    def test_precomputed_stacked_view_used(self):
-        class CountingBatch:
-            seen = []
+    def test_precomputed_stacked_view_used(self, monkeypatch):
+        seen = []
+        batch_form = Mean.run_batch
+
+        def counting_batch(self, stacked):
+            seen.append(stacked.shape)
+            return batch_form(self, stacked)
+
+        monkeypatch.setattr(Mean, "run_batch", counting_batch)
+        manager = ComputationManager(backend="vectorized", metrics=MetricsRegistry())
+        stacked = np.stack(BLOCKS)
+        manager.run_blocks_collected(Mean(), 1, FALLBACK, stacked)
+        assert seen == [(6, 4, 1)]
+
+
+class TestTrustRule:
+    """Only the platform's own estimators get the fused path."""
+
+    @staticmethod
+    def _run(program):
+        registry = MetricsRegistry()
+        manager = ComputationManager(metrics=registry)
+        results = manager.run_blocks_collected(program, 1, FALLBACK, np.stack(BLOCKS))
+        return results.outputs[:, 0].tolist(), registry.snapshot()["counters"]
+
+    @staticmethod
+    def _hostile_batch(self, stacked):
+        return np.full(stacked.shape[0], 99.0)
+
+    def test_subclass_runs_per_block(self):
+        class Sub(Mean):
+            run_batch = TestTrustRule._hostile_batch
+
+        outputs, counters = self._run(Sub())
+        assert outputs == [float(i) for i in range(6)]
+        assert counters['vectorized.fallbacks{reason="untrusted_program"}'] == 1
+
+    def test_instance_attribute_cannot_stand_in_for_the_method(self):
+        program = Mean()
+        object.__setattr__(program, "run_batch", lambda stacked: np.full(6, 99.0))
+        outputs, counters = self._run(program)
+        assert outputs == [float(i) for i in range(6)]
+        assert counters['vectorized.fallbacks{reason="untrusted_program"}'] == 1
+
+    def test_instance_state_must_be_plain_numbers(self):
+        # A pickling hook that could swap the fresh instance for another
+        # type, and a field that is not a plain number (an arbitrary
+        # object there would see the records through its comparisons).
+        swapped = Mean()
+        object.__setattr__(swapped, "__reduce_ex__", lambda protocol: (Mean, ()))
+        snooping = Count(threshold=0.5)
+        object.__setattr__(snooping, "threshold", np.float32(0.5))
+        for program in (swapped, snooping):
+            _, counters = self._run(program)
+            assert counters['vectorized.fallbacks{reason="untrusted_program"}'] == 1
+
+    def test_type_identity_not_equality(self):
+        class AlwaysEqual(type):
+            def __eq__(cls, other):
+                return True
+
+            __hash__ = type.__hash__
+
+        class Impostor(metaclass=AlwaysEqual):
+            output_dimension = 1
+            run_batch = TestTrustRule._hostile_batch
 
             def __call__(self, block):
                 return float(np.mean(block))
 
-            def run_batch(self, stacked):
-                CountingBatch.seen.append(stacked.shape)
-                return np.mean(stacked[:, :, 0], axis=1)
-
-        manager = ComputationManager(backend="vectorized", metrics=MetricsRegistry())
-        stacked = np.stack(BLOCKS)
-        manager.run_blocks_collected(CountingBatch(), 1, FALLBACK, stacked)
-        assert CountingBatch.seen == [(6, 4, 1)]
+        assert Impostor == Mean
+        outputs, counters = self._run(Impostor())
+        assert outputs == [float(i) for i in range(6)]
+        assert counters['vectorized.fallbacks{reason="untrusted_program"}'] == 1
 
 
 class TestEstimatorBatchParity:

@@ -152,7 +152,9 @@ class RegisteredDataset:
     name:
         Registration key.
     table:
-        The privacy-sensitive records queries run against.
+        The privacy-sensitive records queries run against; ``None`` for
+        a budget-only registration, whose records live elsewhere (a
+        stream's epochs are registered this way).
     budget:
         Remaining epsilon for this dataset.
     ledger:
@@ -176,7 +178,7 @@ class RegisteredDataset:
     """
 
     name: str
-    table: DataTable
+    table: Optional[DataTable]
     budget: PrivacyBudget
     ledger: PrivacyLedger = field(default_factory=PrivacyLedger)
     aged: Optional[DataTable] = None
@@ -399,13 +401,16 @@ class DatasetManager:
     def register(
         self,
         name: str,
-        table: DataTable,
+        table: Optional[DataTable],
         total_budget: float,
         aged_fraction: float = 0.0,
         aged_table: Optional[DataTable] = None,
         rng: RandomSource = None,
     ) -> RegisteredDataset:
         """Register ``table`` under ``name`` with a total privacy budget.
+
+        ``table=None`` registers the budget alone: the manager then
+        holds no records for ``name``, only its accounting.
 
         Aged data can be supplied in two ways:
 

@@ -212,17 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     fsck = commands.add_parser(
         "fsck",
-        help="verify a budget journal; optionally repair a torn tail "
-             "and compact it (offline only — stop the service first)",
+        help="verify a state directory's budget journal (budget.wal, "
+             "written by a service or by a stream); optionally repair a "
+             "torn tail and compact it (offline only — stop its writer "
+             "first)",
     )
     fsck.add_argument(
         "--state-dir", required=True, metavar="DIR",
         help="state directory holding the journal",
-    )
-    fsck.add_argument(
-        "--journal", default=None, metavar="NAME",
-        help="journal file name inside the state directory "
-             "(default budget.wal; streams use stream.wal)",
     )
     fsck.add_argument(
         "--repair", action="store_true",
@@ -557,15 +554,10 @@ def run_serve(args) -> int:
 
 def run_fsck(args) -> int:
     import json
-    import os
 
     from repro.accounting.journal import fsck, journal_path
 
-    path = (
-        os.path.join(args.state_dir, args.journal)
-        if args.journal
-        else journal_path(args.state_dir)
-    )
+    path = journal_path(args.state_dir)
     report = fsck(path, repair=args.repair, compact_file=args.compact)
     print(json.dumps(report.to_dict(), indent=args.indent, sort_keys=True))
     if not report.exists:

@@ -42,7 +42,7 @@ _EXPORTS = {
     ),
     "repro.runtime.scheduler": ("QueryHandle", "QueryScheduler"),
     "repro.runtime.timing": ("TimingDefense",),
-    "repro.runtime.vectorized": ("VectorizedProgram", "supports_batch"),
+    "repro.runtime.vectorized": ("VectorizedProgram",),
 }
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

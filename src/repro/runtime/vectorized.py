@@ -126,19 +126,6 @@ class VectorizedProgram(Protocol):
         ...  # pragma: no cover - protocol declaration
 
 
-def supports_batch(program) -> bool:
-    """Whether ``program`` declares a usable batch form.
-
-    A lookup that raises (a hostile ``run_batch`` property, say) means
-    no.  Declaring one is not enough for :func:`run_blocks` to use it:
-    see :func:`platform_owned`.
-    """
-    try:
-        return callable(getattr(program, "run_batch", None))
-    except Exception:  # noqa: BLE001 - any failure is "no batch form"
-        return False
-
-
 def platform_owned(program) -> bool:
     """Whether :func:`run_blocks` may honour ``program``'s batch form.
 

@@ -10,7 +10,10 @@ aged pool used for block-size search and accuracy->epsilon estimation.
 
 Budgets
 -------
-Each epoch's records carry their own budget of ``epsilon_per_epoch``.
+Each epoch's records carry their own budget of ``epsilon_per_epoch``:
+epoch ``N`` is the budget-only dataset ``epoch-N`` of a
+:class:`~repro.accounting.manager.DatasetManager` the stream owns,
+registered when the epoch opens and unregistered when it ages out.
 A query over the current window touches every live epoch, so it charges
 its epsilon against *each* live epoch's budget (the window is a union
 of disjoint epoch datasets; a record lives in exactly one epoch, but a
@@ -25,31 +28,25 @@ machinery the paper says should be extended to streams.
 
 from __future__ import annotations
 
-import os
+import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from repro.accounting.budget import PrivacyBudget
-from repro.accounting.journal import (
-    COMMIT,
-    REGISTER,
-    RESERVE,
-    RETIRE,
-    ROLLBACK,
-    BudgetJournal,
+from repro.accounting.journal import BudgetJournal
+from repro.accounting.manager import (
+    BudgetReservation,
+    DatasetManager,
+    RegisteredDataset,
 )
 from repro.core.range_estimation import RangeStrategy
 from repro.core.sample_aggregate import SampleAggregateEngine, SampleAggregateResult
 from repro.core.aggregation import ranges_from_pairs
 from repro.core.range_estimation import RangeContext
-from repro.exceptions import GuptError, PrivacyBudgetExhausted
+from repro.exceptions import GuptError
 from repro.mechanisms.rng import RandomSource, as_generator
-
-#: Journal file name for a stream's per-epoch budget events.
-STREAM_JOURNAL_NAME = "stream.wal"
 
 
 @dataclass(frozen=True)
@@ -87,27 +84,34 @@ class WindowConfig:
 class _Epoch:
     index: int
     records: list[np.ndarray]
-    budget: PrivacyBudget
+    dataset: RegisteredDataset
 
-    def values(self) -> np.ndarray | None:
-        if not self.records:
-            return None
-        return np.vstack(self.records)
+
+def _epoch_index(name: str) -> int:
+    """``N`` for a stream's dataset ``epoch-N``; any other name is refused."""
+    match = re.fullmatch(r"epoch-(0|[1-9][0-9]*)", name)
+    if match is None:
+        raise GuptError(
+            f"the state dir's journal holds dataset {name!r}, which is not "
+            "a stream epoch; a stream needs a state dir of its own"
+        )
+    return int(match.group(1))
 
 
 class StreamingGupt:
     """Windowed private analytics with per-epoch budgets and aging.
 
-    With ``state_dir=`` the stream journals every per-epoch budget
-    lifecycle event — epoch registration, query reserve/commit/rollback
-    and the *retire* of an epoch aging out — to a write-ahead journal
-    (``stream.wal``), the same format and fsync rule as the dataset
-    manager's.
-    The journal is an audit trail of budget arithmetic only: stream
-    *records* are never journaled and a crashed stream's data is gone,
-    but replaying the journal proves exactly which epochs spent what and
-    which were retired, so no restart can resurrect an exhausted or
-    retired epoch's budget.
+    With ``state_dir=`` the stream's dataset manager journals every
+    per-epoch budget event — epoch registration, query
+    reserve/commit/rollback and the retire of an epoch aging out — to
+    the state dir's ``budget.wal``, and a stream opened on that state
+    dir resumes its epochs: every live ``epoch-N`` in the journal is
+    registered again oldest first, adopting its recovered spends, and
+    the newest becomes the current epoch.  Retired epochs never come
+    back, and a state dir whose journal holds any dataset other than a
+    stream epoch is refused.  Stream *records* are never journaled: a
+    reopened epoch starts empty, but its budget stays spent, so no
+    restart can hand a replayed record a fresh budget.
     """
 
     def __init__(
@@ -120,24 +124,28 @@ class StreamingGupt:
         self._rng = as_generator(rng)
         self._epochs: deque[_Epoch] = deque()
         self._aged_rows: list[np.ndarray] = []
-        self._journal: Optional[BudgetJournal] = None
-        if state_dir is not None:
-            self._journal = BudgetJournal(
-                os.path.join(state_dir, STREAM_JOURNAL_NAME)
-            )
         self._queries = 0
-        self._current = self._new_epoch(0)
         self._engine = SampleAggregateEngine()
+        self._manager = DatasetManager(state_dir=state_dir)
+        try:
+            recovered = sorted(
+                _epoch_index(name) for name in self._manager.recovered_names()
+            )
+            for index in recovered[:-1]:
+                self._epochs.append(self._open_epoch(index))
+            self._current = self._open_epoch(recovered[-1] if recovered else 0)
+        except BaseException:
+            self._manager.close()
+            raise
 
     @property
     def journal(self) -> Optional[BudgetJournal]:
         """The stream's budget journal (``None`` when in-memory)."""
-        return self._journal
+        return self._manager.journal
 
     def close(self) -> None:
         """Flush and close the stream's journal (no-op when in-memory)."""
-        if self._journal is not None:
-            self._journal.close()
+        self._manager.close()
 
     # ------------------------------------------------------------------
     # Stream side
@@ -167,17 +175,14 @@ class StreamingGupt:
         """
         self._epochs.append(self._current)
         next_index = self._current.index + 1
-        self._current = self._new_epoch(next_index)
+        self._current = self._open_epoch(next_index)
         horizon = next_index - self._config.aging_epochs
         while self._epochs and self._epochs[0].index < horizon:
             expired = self._epochs.popleft()
-            if self._journal is not None:
-                # Retire is terminal: the epoch's budget is discarded
-                # with it and no replay can bring it back.
-                self._journal.append(RETIRE, f"epoch-{expired.index}")
-            values = expired.values()
-            if values is not None:
-                self._aged_rows.append(values)
+            # Retire is terminal: the epoch's budget is discarded with
+            # it and no replay can bring it back.
+            self._manager.unregister(expired.dataset.name)
+            self._aged_rows.extend(expired.records)
         return next_index
 
     # ------------------------------------------------------------------
@@ -185,11 +190,7 @@ class StreamingGupt:
     # ------------------------------------------------------------------
     def window_values(self) -> np.ndarray:
         """The records a query would see (current + recent epochs)."""
-        live = [self._current] + [
-            e for e in self._epochs
-            if e.index > self._current.index - self._config.window_epochs
-        ]
-        parts = [e.values() for e in live if e.values() is not None]
+        parts = [records for epoch in self._live() for records in epoch.records]
         if not parts:
             raise GuptError("the window contains no records yet")
         return np.vstack(parts)
@@ -202,11 +203,7 @@ class StreamingGupt:
 
     def remaining_budgets(self) -> dict[int, float]:
         """Remaining epsilon per live epoch (current included)."""
-        live = [self._current] + [
-            e for e in self._epochs
-            if e.index > self._current.index - self._config.window_epochs
-        ]
-        return {e.index: e.budget.remaining for e in live}
+        return {e.index: e.dataset.budget.remaining for e in self._live()}
 
     def query(
         self,
@@ -230,64 +227,22 @@ class StreamingGupt:
             else int(getattr(program, "output_dimension", 1))
         )
 
-        live = [self._current] + [
-            e for e in self._epochs
-            if e.index > self._current.index - self._config.window_epochs
-        ]
-        contributing = [e for e in live if e.values() is not None]
-        # Transactional multi-epoch spend: reserve against every epoch
-        # first, then commit all holds.  The old check-then-charge loop
-        # was a race — two interleaved queries could both pass every
-        # ``can_afford`` test, then one would fail its charge halfway
-        # through, leaving the earlier epochs charged for a query that
-        # was refused.  Reservations make the refusal leave every epoch
-        # untouched, bit-for-bit.
+        # Hold the epsilon on every contributing epoch before committing
+        # any: a refusal rolls back the holds already taken, so it leaves
+        # every epoch's budget untouched, bit for bit.
         self._queries += 1
         query_name = f"stream-query-{self._queries}"
-        held: list[tuple[_Epoch, int, bool]] = []
-
-        def unwind() -> None:
-            # Journal the rollbacks first (conservative ordering, same
-            # as the dataset manager), then return every hold.
-            for reserved_epoch, reservation_id, journaled in held:
-                if journaled and self._journal is not None:
-                    self._journal.append(
-                        ROLLBACK, f"epoch-{reserved_epoch.index}",
-                        epsilon=epsilon, reservation_id=reservation_id,
-                        query=query_name,
-                    )
-                reserved_epoch.budget.release_reservation(reservation_id)
-
-        for epoch in contributing:
-            try:
-                reservation_id = epoch.budget.reserve(epsilon)
-            except PrivacyBudgetExhausted:
-                unwind()
-                raise PrivacyBudgetExhausted(
-                    epsilon, epoch.budget.remaining, f"epoch-{epoch.index}"
-                ) from None
-            held.append((epoch, reservation_id, False))
-            if self._journal is not None:
-                try:
-                    self._journal.append(
-                        RESERVE, f"epoch-{epoch.index}",
-                        epsilon=epsilon, reservation_id=reservation_id,
-                        query=query_name,
-                    )
-                except BaseException:
-                    unwind()
-                    raise
-                held[-1] = (epoch, reservation_id, True)
-        for epoch, reservation_id, _ in held:
-            # Write-ahead: a crash between the durable commit and the
-            # in-memory one resolves as spent either way on replay.
-            if self._journal is not None:
-                self._journal.append(
-                    COMMIT, f"epoch-{epoch.index}",
-                    epsilon=epsilon, reservation_id=reservation_id,
-                    query=query_name,
-                )
-            epoch.budget.commit_reservation(reservation_id)
+        held: list[BudgetReservation] = []
+        try:
+            for epoch in self._live():
+                if epoch.records:
+                    held.append(epoch.dataset.reserve(epsilon, query_name))
+        except BaseException:
+            for reservation in held:
+                reservation.rollback()
+            raise
+        for reservation in held:
+            reservation.commit()
 
         epsilon_range = range_strategy.budget_fraction * epsilon
         epsilon_noise = epsilon - epsilon_range
@@ -319,16 +274,13 @@ class StreamingGupt:
         return self._engine.aggregate(sampled, epsilon_noise, estimate.ranges, rng=self._rng)
 
     # ------------------------------------------------------------------
-    def _new_epoch(self, index: int) -> _Epoch:
-        if self._journal is not None:
-            self._journal.append(
-                REGISTER, f"epoch-{index}",
-                epsilon=self._config.epsilon_per_epoch,
-            )
-        return _Epoch(
-            index=index,
-            records=[],
-            budget=PrivacyBudget(
-                self._config.epsilon_per_epoch, dataset=f"epoch-{index}"
-            ),
+    def _live(self) -> list[_Epoch]:
+        """The current epoch, then the closed epochs still in the window."""
+        horizon = self._current.index - self._config.window_epochs
+        return [self._current] + [e for e in self._epochs if e.index > horizon]
+
+    def _open_epoch(self, index: int) -> _Epoch:
+        dataset = self._manager.register(
+            f"epoch-{index}", None, total_budget=self._config.epsilon_per_epoch
         )
+        return _Epoch(index=index, records=[], dataset=dataset)

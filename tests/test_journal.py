@@ -58,7 +58,6 @@ from repro.exceptions import (
 )
 from repro.observability import MetricsRegistry
 from repro.streaming import StreamingGupt, WindowConfig
-from repro.streaming.window import STREAM_JOURNAL_NAME
 from repro.testing import failpoints
 
 _FRAME = struct.Struct("<II")
@@ -550,7 +549,7 @@ class TestStreamingJournal:
             stream.ingest(rng.uniform(0, 10, size=50))
             stream.advance()
         stream.close()
-        records = scan(os.path.join(state_dir, STREAM_JOURNAL_NAME)).records
+        records = scan(journal_path(state_dir)).records
         registers = [r for r in records if r["kind"] == REGISTER]
         retires = [r for r in records if r["kind"] == RETIRE]
         assert [r["dataset"] for r in registers] == [
@@ -567,7 +566,7 @@ class TestStreamingJournal:
         stream.ingest(rng.uniform(0, 10, size=100))
         stream.query(Mean(), TightRange((0.0, 10.0)), epsilon=0.25)
         stream.close()
-        records = scan(os.path.join(state_dir, STREAM_JOURNAL_NAME)).records
+        records = scan(journal_path(state_dir)).records
         reserves = [r for r in records if r["kind"] == RESERVE]
         commits = [r for r in records if r["kind"] == COMMIT]
         assert {r["dataset"] for r in reserves} == {"epoch-0", "epoch-1"}
@@ -586,7 +585,7 @@ class TestStreamingJournal:
         with pytest.raises(PrivacyBudgetExhausted):
             stream.query(Mean(), TightRange((0.0, 10.0)), epsilon=0.25)
         stream.close()
-        records = scan(os.path.join(state_dir, STREAM_JOURNAL_NAME)).records
+        records = scan(journal_path(state_dir)).records
         rollbacks = [r for r in records if r["kind"] == ROLLBACK]
         assert rollbacks == []  # exhaustion hit before any journaled hold
         # Replay agrees both epochs are fully spent by query 1 only.

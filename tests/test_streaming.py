@@ -3,10 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.accounting.journal import (
+    REGISTER,
+    RESERVE,
+    ROLLBACK,
+    journal_path,
+    recover,
+    scan,
+)
+from repro.accounting.manager import DatasetManager
 from repro.core.range_estimation import TightRange
+from repro.datasets.table import DataTable
 from repro.estimators.statistics import Mean
-from repro.exceptions import GuptError, PrivacyBudgetExhausted
+from repro.exceptions import DatasetError, GuptError, PrivacyBudgetExhausted
 from repro.streaming import StreamingGupt, WindowConfig
+from repro.testing import failpoints
+from repro.testing.failpoints import FailpointError
 
 
 def fill(stream, epochs, per_epoch=200, center=10.0, rng_seed=0):
@@ -142,3 +154,103 @@ class TestQuery:
         stream.ingest(np.full(60, 6.0))
         result = stream.query(Mean(), TightRange((0.0, 10.0)), epsilon=1.0)
         assert 0.0 <= result.scalar() <= 10.0
+
+
+class TestRestart:
+    """A stream reopened on its state dir resumes its epochs' budgets."""
+
+    def test_restart_refuses_a_replayed_spend(self, tmp_path):
+        config = WindowConfig(window_epochs=1, aging_epochs=1, epsilon_per_epoch=1.0)
+        stream = StreamingGupt(config, rng=0, state_dir=str(tmp_path))
+        stream.ingest(np.full(60, 5.0))
+        stream.query(Mean(), TightRange((0.0, 10.0)), epsilon=0.9)
+        stream.close()
+
+        reopened = StreamingGupt(config, rng=0, state_dir=str(tmp_path))
+        reopened.ingest(np.full(60, 5.0))
+        with pytest.raises(PrivacyBudgetExhausted):
+            reopened.query(Mean(), TightRange((0.0, 10.0)), epsilon=0.9)
+        assert reopened.remaining_budgets() == {0: pytest.approx(0.1)}
+        reopened.close()
+        recovered = recover(journal_path(str(tmp_path))).datasets
+        assert recovered["epoch-0"].spent == 0.9
+        assert all(state.spent <= state.total for state in recovered.values())
+
+    def test_restart_after_aging_never_reregisters_a_retired_epoch(self, tmp_path):
+        config = WindowConfig(window_epochs=2, aging_epochs=2, epsilon_per_epoch=1.0)
+        stream = StreamingGupt(config, rng=0, state_dir=str(tmp_path))
+        fill(stream, epochs=5)
+        stream.ingest(np.full(60, 5.0))
+        stream.query(Mean(), TightRange((0.0, 20.0)), epsilon=0.4)
+        before = stream.remaining_budgets()
+        stream.close()
+
+        reopened = StreamingGupt(config, rng=0, state_dir=str(tmp_path))
+        reopened.close()
+        assert reopened.epoch == 5
+        assert reopened.remaining_budgets() == before == {
+            5: pytest.approx(0.6), 4: pytest.approx(0.6)
+        }
+        registers = [
+            r["dataset"] for r in scan(journal_path(str(tmp_path))).records
+            if r["kind"] == REGISTER
+        ]
+        assert registers == [f"epoch-{i}" for i in range(6)]
+
+    def test_restart_with_another_epsilon_per_epoch_is_refused(self, tmp_path):
+        stream = StreamingGupt(
+            WindowConfig(epsilon_per_epoch=1.0), rng=0, state_dir=str(tmp_path)
+        )
+        stream.ingest(np.full(60, 5.0))
+        stream.query(Mean(), TightRange((0.0, 10.0)), epsilon=0.5)
+        stream.close()
+        path = journal_path(str(tmp_path))
+        before = recover(path).datasets["epoch-0"]
+
+        with pytest.raises(DatasetError):
+            StreamingGupt(
+                WindowConfig(epsilon_per_epoch=2.0), rng=0, state_dir=str(tmp_path)
+            )
+        after = recover(path).datasets
+        assert list(after) == ["epoch-0"]
+        assert (after["epoch-0"].total, after["epoch-0"].spent) == (
+            before.total, before.spent
+        )
+
+    def test_foreign_state_dir_is_refused(self, tmp_path):
+        with DatasetManager(state_dir=str(tmp_path)) as manager:
+            manager.register("census", DataTable(np.ones((10, 1))), total_budget=1.0)
+        with pytest.raises(GuptError, match="census"):
+            StreamingGupt(state_dir=str(tmp_path))
+        registers = [
+            r["dataset"] for r in scan(journal_path(str(tmp_path))).records
+            if r["kind"] == REGISTER
+        ]
+        assert registers == ["census"]
+
+    def test_failed_second_reserve_rolls_back_the_first_hold(self, tmp_path):
+        config = WindowConfig(window_epochs=2, epsilon_per_epoch=1.0)
+        stream = StreamingGupt(config, rng=0, state_dir=str(tmp_path))
+        fill(stream, epochs=1)
+        stream.ingest(np.full(60, 5.0))
+        before = stream.remaining_budgets()
+        failpoints.arm("manager.reserve.held", "error", fire_on_hit=2)
+        try:
+            with pytest.raises(FailpointError):
+                stream.query(Mean(), TightRange((0.0, 20.0)), epsilon=0.5)
+        finally:
+            failpoints.reset()
+            stream.close()
+        assert stream.remaining_budgets() == before
+
+        records = scan(journal_path(str(tmp_path))).records
+        reserves = [r for r in records if r["kind"] == RESERVE]
+        rollbacks = [r for r in records if r["kind"] == ROLLBACK]
+        assert [r["dataset"] for r in reserves] == ["epoch-1"]
+        assert [(r["dataset"], r["rid"]) for r in rollbacks] == [
+            ("epoch-1", reserves[0]["rid"])
+        ]
+        recovered = recover(journal_path(str(tmp_path))).datasets
+        assert {name: state.spent for name, state in recovered.items()} == {
+            "epoch-0": 0.0, "epoch-1": 0.0
+        }

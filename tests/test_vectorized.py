@@ -30,11 +30,7 @@ from repro.runtime.computation_manager import BACKENDS, ComputationManager
 from repro.runtime.sandbox import InProcessChamber
 from repro.runtime.service import ANALYST, OWNER, GuptService, QueryRequest
 from repro.runtime.timing import TimingDefense
-from repro.runtime.vectorized import (
-    VectorizedProgram,
-    run_batch_blocks,
-    supports_batch,
-)
+from repro.runtime.vectorized import VectorizedProgram, run_batch_blocks
 
 FALLBACK = np.array([5.0])
 BLOCKS = [np.full((4, 1), float(i)) for i in range(6)]
@@ -45,18 +41,6 @@ def plain_mean(block):
 
 
 class TestBatchPrimitives:
-    def test_supports_batch_detection(self):
-        assert supports_batch(Mean())
-        assert not supports_batch(plain_mean)
-
-    def test_raising_batch_lookup_means_no_batch_form(self):
-        class HostileLookup:
-            @property
-            def run_batch(self):
-                raise RuntimeError("hostile run_batch lookup")
-
-        assert not supports_batch(HostileLookup())
-
     def test_estimators_satisfy_the_protocol(self):
         for program in (Mean(), Median(), Variance(), StandardDeviation()):
             assert isinstance(program, VectorizedProgram)
